@@ -24,6 +24,24 @@ from repro.sweep.registry import FABRIC_BUILDERS
 
 FULL_SCALE = os.environ.get("MIXNET_BENCH_FULL", "0") == "1"
 
+
+def pytest_addoption(parser):
+    # Registered only when this directory is named on the command line
+    # (``pytest benchmarks/...``): read it with a default of False.
+    parser.addoption(
+        "--record-bench",
+        action="store_true",
+        default=False,
+        help="rewrite the tracked BENCH_*.json records from this run "
+             "(benchmarks still assert every floor without it)",
+    )
+
+
+def record_bench(request) -> bool:
+    """Whether this run may rewrite the tracked ``BENCH_*.json`` files."""
+    return bool(request.config.getoption("--record-bench", default=False))
+
+
 #: Servers used for performance simulations (128 = the paper's 1024 GPUs).
 BENCH_SERVERS = 128 if FULL_SCALE else 32
 

@@ -5,11 +5,13 @@ matrices at growing region sizes (16 to 256 servers — the scales the
 incremental engine was built to unlock), once with the seed's pure-Python
 scalar oracle and once with the heap-driven vectorized engine.  It asserts
 the two produce identical allocations (circuit map, NIC mapping, completion
-estimate, iteration count), records the headline numbers in
+estimate, iteration count), can record the headline numbers in
 ``BENCH_reconfig.json`` at the repo root, and enforces the >= 5x speedup
 budget the engine rewrite was sized for at a 128-server region.
 
 ``--quick`` (CI smoke mode) shrinks the sizes and skips the speedup floor.
+``BENCH_reconfig.json`` is rewritten only with ``--record-bench``
+(``pytest benchmarks/test_reconfig_throughput.py --record-bench``).
 """
 
 import json
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import print_series
+from conftest import print_series, record_bench
 
 from repro.core.reconfigure import reconfigure_ocs
 
@@ -69,7 +71,7 @@ def test_reconfig_throughput(run_once, request):
 
     rows = run_once(build)
 
-    if not quick:
+    if record_bench(request) and not quick:
         # Smoke runs use toy sizes; don't overwrite the recorded numbers.
         record = {
             "description": "Algorithm 1 greedy circuit allocation over random "

@@ -9,11 +9,14 @@ otherwise), and once folded — every config advanced through one batched
 solve → next-completion → advance loop (DESIGN.md §6).  Timed passes repeat
 a few times and report the best (steady-state throughput, scheduler noise
 stripped).  It asserts all three produce identical iteration times (the
-folded pass bit-identically, on every repetition), records the headline
+folded pass bit-identically, on every repetition), can record the headline
 numbers in ``BENCH_sweep.json`` at the repo root, and enforces the speedup
 budgets the solver rewrite and the folding rewrite were sized for.
 ``--quick`` (CI smoke mode) runs each pass once and keeps every equivalence
 assertion but skips the speedup floors, which need a quiet machine.
+``BENCH_sweep.json`` is rewritten only with ``--record-bench``
+(``pytest benchmarks/test_sweep_throughput.py --record-bench``), so a plain
+test run never changes the tracked record.
 """
 
 import gc
@@ -22,7 +25,7 @@ import os
 import time
 from pathlib import Path
 
-from conftest import print_series
+from conftest import print_series, record_bench
 
 from repro.sim.flows import resolve_solver
 from repro.sweep import FoldedSweepRunner, SweepRunner, SweepSpec
@@ -294,7 +297,7 @@ def test_sweep_throughput(run_once, request):
         "parallel_folded": parallel_leg,
         "phases": phase_leg,
     }
-    if not quick:  # smoke timings would shadow the real measurement
+    if record_bench(request) and not quick:  # smoke timings would shadow it
         BENCH_PATH.write_text(json.dumps(record, indent=1) + "\n")
 
     print_series("SweepBench", [

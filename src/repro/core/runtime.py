@@ -778,6 +778,8 @@ class TrainingSimulator:
         # staged under the same allocation; compute it once per allocation
         # object instead of once per task.
         pairs_of_allocation: Dict[int, Optional[frozenset]] = {}
+        # One tuple per distinct route key across this build's plans.
+        shared_keys: Dict[tuple, tuple] = {}
 
         def stage_admission(task, allocation: Optional[CircuitAllocation]) -> None:
             if admission_base is None:
@@ -794,7 +796,7 @@ class TrainingSimulator:
             key = (task.task_id,) + admission_base + (circuit_pairs,)
             plan = template.admission(key)
             if plan is None:
-                plan = AdmissionPlan.from_specs(task.task_id, task.flow_specs)
+                plan = AdmissionPlan.from_specs(task.flow_specs, shared_keys)
                 template.store_admission(key, plan)
             task.admission = plan
 

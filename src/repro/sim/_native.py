@@ -170,12 +170,15 @@ static int solve_block(int f0, int num_flows, int row0, int num_rows,
                             0, NULL, NULL, NULL, 0);
 }
 
-/* One-shot solve (the per-event path).  Returns WF_OOM when scratch memory
- * cannot be allocated — the caller is expected to fall back to its Python
- * solver rather than trust the (zeroed) rates. */
+/* One-shot solve (the per-event path) over the flows whose `active` entry
+ * is set (NULL means all); inactive flows' rates are left untouched.
+ * Returns WF_OOM when scratch memory cannot be allocated — the caller is
+ * expected to fall back to its Python solver rather than trust the
+ * (zeroed) rates. */
 int waterfill(int num_flows, int num_rows,
               const int *flow_ptr, const int *flow_rows,
-              const double *caps, double *rates)
+              const double *caps, const unsigned char *active,
+              double *rates)
 {
     if (num_flows <= 0) return WF_OK;
     int nnz = flow_ptr[num_flows];
@@ -191,7 +194,7 @@ int waterfill(int num_flows, int num_rows,
         status = WF_OOM;
         goto done;
     }
-    solve_block(0, num_flows, 0, num_rows, flow_ptr, flow_rows, caps, NULL,
+    solve_block(0, num_flows, 0, num_rows, flow_ptr, flow_rows, caps, active,
                 rates, residual, counts, row_ptr, row_flows, fill, frozen);
 done:
     free(residual); free(counts); free(frozen);
@@ -452,7 +455,8 @@ int waterfill_batch(int num_blocks,
 CDEF = """
 int waterfill(int num_flows, int num_rows,
               const int *flow_ptr, const int *flow_rows,
-              const double *caps, double *rates);
+              const double *caps, const unsigned char *active,
+              double *rates);
 int waterfill_batch(int num_blocks,
                     const int *block_flows, const int *block_rows,
                     const int *flow_ptr, const int *flow_rows,

@@ -33,6 +33,10 @@ class RouteKind(str, Enum):
     INTRA = "intra"  # stays on the server's NVSwitch
 
 
+#: A flow's route: ``(src_server, dst_server, route kind)``.
+RouteKey = Tuple[int, int, RouteKind]
+
+
 @dataclass(frozen=True)
 class FlowSpec:
     """One server-to-server transfer inside a communication task."""
@@ -47,68 +51,58 @@ class FlowSpec:
             raise ValueError("size_bytes must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdmissionPlan:
-    """Pre-staged admission artifacts for one communication task.
+    """One communication task's flows, staged as arrays (DESIGN.md §11).
 
-    Built once per structural template and stamped into every config that
-    shares it (DESIGN.md §10): the executor's ``start_task`` admits flows by
-    iterating ``flows`` directly instead of re-filtering ``flow_specs``,
-    re-deriving route keys and re-formatting flow ids per config.  Entries
-    are ``(flow_id, size_bytes, (src, dst, route), is_ep)`` in the same
-    order (and with the same zero-size filter) as the ``flow_specs`` loop,
-    so per-flow bookkeeping — including the ``comm_bytes`` float
-    accumulation — runs the identical operation sequence and results stay
-    bit-identical with or without a plan.
+    ``sizes`` and ``thresholds`` hold each admitted flow's byte count and
+    finish threshold (``max(1e-3, 1e-9 * size)``, the expression
+    :class:`~repro.sim.flows.Flow` uses); ``route_of`` maps each flow to
+    its ``(src, dst, route)`` key in ``route_keys``, which lists every
+    distinct key once in order of first use.  Flows keep ``flow_specs``
+    order with zero-size specs dropped, so the executor admits exactly the
+    flows (and accumulates exactly the ``comm_bytes``) of a spec-by-spec
+    loop.  Plans are shared read-only: the structural template builds one
+    per task and numeric stamp and hands it to every config of a fold.
     """
 
-    flows: Tuple[Tuple[str, float, Tuple[int, int, RouteKind], bool], ...]
-    # Lazily-built (sizes, finish_thresholds) float64 arrays aligned with
-    # ``flows`` — see :meth:`staged_arrays`.  Excluded from equality: the
-    # arrays are a pure function of ``flows``.
-    _staged_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = field(
-        default=None, compare=False, repr=False
-    )
+    sizes: np.ndarray
+    thresholds: np.ndarray
+    route_of: np.ndarray
+    route_keys: Tuple[RouteKey, ...]
 
-    def staged_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-flow ``(sizes, finish_thresholds)`` arrays for bulk admission.
-
-        Fresh flows start with ``remaining_bytes == size_bytes`` and
-        ``_finish_threshold == max(1e-3, 1e-9 * size_bytes)`` (the same
-        expression, evaluated in float64, that ``Flow.make`` uses), so the
-        fluid network can stamp both straight into its CSR mirrors without a
-        per-flow attribute gather.  Built on first use and cached on the
-        plan, which the structural template shares across configs.
-        """
-        arrays = self._staged_arrays
-        if arrays is None:
-            sizes = np.fromiter(
-                (entry[1] for entry in self.flows), np.float64, len(self.flows)
-            )
-            arrays = (sizes, np.maximum(1e-3, 1e-9 * sizes))
-            object.__setattr__(self, "_staged_arrays", arrays)
-        return arrays
+    def __len__(self) -> int:
+        return len(self.sizes)
 
     @classmethod
-    def from_specs(cls, task_id: str, specs: Sequence[FlowSpec]) -> "AdmissionPlan":
-        """Stage ``specs`` exactly as the executor's fallback loop admits
-        them: zero-size specs skipped, flow ids numbered over admitted flows
-        only, entries in spec order."""
-        flows = []
-        index = 0
-        for spec in specs:
-            if spec.size_bytes <= 0:
-                continue
-            flows.append(
-                (
-                    f"{task_id}/f{index}",
-                    spec.size_bytes,
-                    (spec.src_server, spec.dst_server, spec.route),
-                    spec.route is RouteKind.EP,
-                )
-            )
-            index += 1
-        return cls(flows=tuple(flows))
+    def from_specs(
+        cls,
+        specs: Sequence[FlowSpec],
+        shared_keys: Optional[Dict[RouteKey, RouteKey]] = None,
+    ) -> "AdmissionPlan":
+        """Stage ``specs``: zero-size specs skipped, flows in spec order.
+
+        ``shared_keys`` (key -> itself) lets plans built together hold one
+        tuple per distinct route key instead of one per plan.
+        """
+        kept = [spec for spec in specs if spec.size_bytes > 0]
+        sizes = np.array([spec.size_bytes for spec in kept], dtype=np.float64)
+        keys = [(spec.src_server, spec.dst_server, spec.route) for spec in kept]
+        if shared_keys is not None:
+            keys = [shared_keys.setdefault(key, key) for key in keys]
+        index_of = dict.fromkeys(keys)
+        if len(index_of) == len(keys):
+            route_of = np.arange(len(keys), dtype=np.int32)
+        else:
+            for route, key in enumerate(index_of):
+                index_of[key] = route
+            route_of = np.array([index_of[key] for key in keys], dtype=np.int32)
+        return cls(
+            sizes=sizes,
+            thresholds=np.maximum(1e-3, 1e-9 * sizes),
+            route_of=route_of,
+            route_keys=tuple(index_of),
+        )
 
 
 @dataclass
@@ -125,9 +119,9 @@ class Task:
         on_start: Callback invoked when the task starts (e.g. none needed).
         on_complete: Callback invoked when the task finishes — MixNet uses
             this to install the new OCS circuits at the end of a RECONFIG task.
-        admission: Optional pre-staged admission artifacts equivalent to
-            ``flow_specs`` (COMM tasks only); ``None`` means the executor
-            derives everything from ``flow_specs`` at start time.
+        admission: Optional pre-staged :class:`AdmissionPlan` equivalent
+            to ``flow_specs`` (COMM tasks only); ``None`` means the executor
+            stages ``flow_specs`` itself when the task starts.
     """
 
     task_id: str

@@ -14,14 +14,21 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from repro.fabric.base import RegionNetwork
-from repro.sim.dag import RouteKind, Task, TaskGraph, TaskKind
+from repro.sim.dag import (
+    AdmissionPlan,
+    RouteKey,
+    RouteKind,
+    Task,
+    TaskGraph,
+    TaskKind,
+)
 from repro.sim.flows import (
-    Flow,
     FlowAdvanceOutcome,
     FlowAdvanceRequest,
+    FlowBatch,
     FluidNetwork,
     service_advance_requests,
 )
@@ -76,11 +83,13 @@ class Executor:
         self.graph = graph
         self.region = region
         self.network = FluidNetwork(region, solver=solver)
-        # (src, dst, route) -> resolved path.  EP routes follow the optical
-        # circuits, so that cache is cleared on topology changes; EPS and
-        # intra paths are static for the lifetime of the region.
-        self._path_cache: Dict[Tuple[int, int, RouteKind], List[str]] = {}
-        self._ep_path_cache: Dict[Tuple[int, int, RouteKind], List[str]] = {}
+        # (src, dst, route) -> the resolved path's incidence rows in the
+        # network (FluidNetwork.path_rows), for every route resolved since
+        # the last topology change.  EP routes follow the optical circuits;
+        # EPS and intra paths are static for the lifetime of the region, so
+        # _static_rows keeps those across topology changes.
+        self._rows_cache: Dict[RouteKey, List[int]] = {}
+        self._static_rows: Dict[RouteKey, List[int]] = {}
 
     # ------------------------------------------------------------------- run
     def _make_state(self) -> "_RunState":
@@ -95,7 +104,8 @@ class Executor:
         Raises:
             RuntimeError: If the simulation deadlocks (flows exist but cannot
                 make progress and no timed event is pending) or exceeds
-                ``max_events``.
+                ``max_events``; the message names the simulated time, the
+                active flow count and the first unfinished tasks.
         """
         state = self._make_state()
         tasks = state.tasks
@@ -104,10 +114,11 @@ class Executor:
         state.start_roots()
 
         events = 0
+        budget_error = f"exceeded the maximum event budget ({max_events})"
         while len(done) < len(tasks):
             events += 1
             if events > max_events:
-                raise RuntimeError("executor exceeded the maximum event budget")
+                raise state.error(budget_error)
 
             now = state.now
             next_timed: Optional[float] = timed_events[0][0] if timed_events else None
@@ -115,12 +126,12 @@ class Executor:
             next_flow: Optional[float] = now + next_flow_dt if next_flow_dt is not None else None
 
             if next_timed is None and next_flow is None:
-                raise _deadlock_error(self.network)
+                raise state.deadlock_error()
 
             if next_flow is None or (next_timed is not None and next_timed <= next_flow):
                 target_time = max(now, next_timed)  # type: ignore[arg-type]
                 if target_time > now:
-                    self.network.advance(target_time - now)
+                    self.network.progress(target_time - now)
                 state.now = target_time
                 state.complete_due_timed_events()
                 # Flows may finish at exactly the same instant as a timed task;
@@ -131,7 +142,7 @@ class Executor:
                 # absolute times, which would be absorbed to zero once the
                 # clock is many orders of magnitude larger than the step.
                 assert next_flow_dt is not None
-                self.network.advance(next_flow_dt)
+                self.network.progress(next_flow_dt)
                 state.now = now + next_flow_dt
                 state.complete_drained_groups()
 
@@ -163,13 +174,14 @@ class Executor:
         events = 0
         solve_rounds = 0
         rounds_replayed = 0
+        budget_error = f"exceeded the maximum event budget ({max_events})"
         while len(done) < len(tasks):
             if self.network.active_flow_count() == 0:
                 if not timed_events:
-                    raise _deadlock_error(self.network)
+                    raise state.deadlock_error()
                 events += 1
                 if events > max_events:
-                    raise RuntimeError("executor exceeded the maximum event budget")
+                    raise state.error(budget_error)
                 state.now = max(state.now, timed_events[0][0])
                 state.complete_due_timed_events()
                 continue
@@ -186,17 +198,17 @@ class Executor:
             if outcome.reason == "group":
                 continue
             if outcome.reason == "steps":
-                raise RuntimeError("executor exceeded the maximum event budget")
+                raise state.error(budget_error)
             # "budget", "stall" or "idle": the next event is a timed one (the
             # run() loop's timed branch), or nothing can ever progress.
             if not timed_events:
-                raise _deadlock_error(self.network)
+                raise state.deadlock_error()
             events += 1
             if events > max_events:
-                raise RuntimeError("executor exceeded the maximum event budget")
+                raise state.error(budget_error)
             target_time = max(state.now, timed_events[0][0])
             if target_time > state.now:
-                self.network.advance(target_time - state.now)
+                self.network.progress(target_time - state.now)
             state.now = target_time
             state.complete_due_timed_events()
             state.complete_drained_groups()
@@ -219,21 +231,34 @@ class Executor:
             outcome = service_advance_requests([request])[0]
 
     # ----------------------------------------------------------------- routes
-    def _resolve_path(self, src: int, dst: int, route: RouteKind) -> List[str]:
-        if route is RouteKind.INTRA or src == dst:
-            return [self.region.intra_link(src)]
-        if route is RouteKind.EP:
-            return self.region.ep_path(src, dst)
-        return self.region.eps_path(src, dst)
+    def _resolve_routes(
+        self, route_keys: Sequence[RouteKey], rows: List[Optional[List[int]]]
+    ) -> None:
+        """Fill the ``None`` entries of ``rows`` (one per route key) by
+        resolving the route's path to incidence rows, and cache them."""
+        region = self.region
+        path_rows = self.network.path_rows
+        cache = self._rows_cache
+        ep_route = RouteKind.EP
+        for index, route_key in enumerate(route_keys):
+            if rows[index] is not None:
+                continue
+            src, dst, route = route_key
+            if route is RouteKind.INTRA or src == dst:
+                path = [region.intra_link(src)]
+            elif route is ep_route:
+                path = region.ep_path(src, dst)
+            else:
+                path = region.eps_path(src, dst)
+            rows[index] = cache[route_key] = path_rows(path)
+            if route is not ep_route:
+                self._static_rows[route_key] = rows[index]
 
-
-def _deadlock_error(network: FluidNetwork) -> RuntimeError:
-    if network.active_flow_count() > 0:
-        return RuntimeError(
-            "simulation deadlock: active flows cannot make progress "
-            "(a path is dark and no event will revive it)"
-        )
-    return RuntimeError("simulation deadlock: tasks remaining but no events pending")
+    def _topology_changed(self) -> None:
+        """Link capacities or circuits may have changed: re-solve rates, and
+        re-resolve EP routes (EPS and intra paths never change)."""
+        self.network.mark_topology_changed()
+        self._rows_cache = dict(self._static_rows)
 
 
 class _RunState:
@@ -259,6 +284,29 @@ class _RunState:
         self.seq = itertools.count()
         self.done: Set[str] = set()
 
+    def error(self, what: str) -> RuntimeError:
+        """A RuntimeError naming the simulated time, the active flow count
+        and the first few unfinished tasks."""
+        unfinished = [tid for tid in self.tasks if tid not in self.done]
+        shown = ", ".join(unfinished[:3])
+        if len(unfinished) > 3:
+            shown += f", ... ({len(unfinished)} in all)"
+        return RuntimeError(
+            f"executor {what} at t={self.now!r} s with "
+            f"{self.executor.network.active_flow_count()} active flows; "
+            f"unfinished tasks: {shown}"
+        )
+
+    def deadlock_error(self) -> RuntimeError:
+        if self.executor.network.active_flow_count() > 0:
+            return self.error(
+                "hit a simulation deadlock (active flows cannot make progress: "
+                "a path is dark and no event will revive it)"
+            )
+        return self.error(
+            "hit a simulation deadlock (tasks remain but no events are pending)"
+        )
+
     def start_roots(self) -> None:
         for tid, count in list(self.remaining_deps.items()):
             if count == 0:
@@ -271,48 +319,23 @@ class _RunState:
         if task.on_start is not None:
             task.on_start()
         if task.kind is TaskKind.COMM:
-            new_flows: List[Flow] = []
-            comm_bytes = self.result.comm_bytes
-            path_cache = executor._path_cache
-            ep_path_cache = executor._ep_path_cache
-            make_flow = Flow.make
             plan = task.admission
-            if plan is not None:
-                # Template-staged admission: the zero-size filter, route
-                # keys and flow-id strings were computed once per structural
-                # template; stamping them here runs the same per-flow
-                # operation sequence as the spec loop below (same order,
-                # same comm_bytes accumulation), so results are identical.
-                for flow_id, size_bytes, route_key, is_ep in plan.flows:
-                    cache = ep_path_cache if is_ep else path_cache
-                    path = cache.get(route_key)
-                    if path is None:
-                        path = executor._resolve_path(*route_key)
-                        cache[route_key] = path
-                    new_flows.append(make_flow(flow_id, size_bytes, path))
-                    comm_bytes += size_bytes
-            else:
-                ep_route = RouteKind.EP
-                index = 0
-                for spec in task.flow_specs:
-                    if spec.size_bytes <= 0:
-                        continue
-                    route = spec.route
-                    cache = ep_path_cache if route is ep_route else path_cache
-                    route_key = (spec.src_server, spec.dst_server, route)
-                    path = cache.get(route_key)
-                    if path is None:
-                        path = executor._resolve_path(*route_key)
-                        cache[route_key] = path
-                    flow_id = f"{task_id}/f{index}"
-                    index += 1
-                    new_flows.append(make_flow(flow_id, spec.size_bytes, path))
-                    comm_bytes += spec.size_bytes
+            if plan is None:
+                plan = AdmissionPlan.from_specs(task.flow_specs)
+            # A sequential left-to-right sum, like a per-flow loop (np.sum
+            # is pairwise and would change the bits of comm_bytes).
+            comm_bytes = self.result.comm_bytes
+            for size_bytes in plan.sizes.tolist():
+                comm_bytes += size_bytes
             self.result.comm_bytes = comm_bytes
-            if new_flows:
-                staged = None if plan is None else plan.staged_arrays()
+            if len(plan):
+                # One rows lookup per route key; a miss resolves the path.
+                rows = list(map(executor._rows_cache.get, plan.route_keys))
+                if None in rows:
+                    executor._resolve_routes(plan.route_keys, rows)
                 executor.network.add_flows(
-                    new_flows, group=task_id, staged=staged
+                    FlowBatch(plan.sizes, plan.thresholds, plan.route_of, rows),
+                    group=task_id,
                 )
             else:
                 # Nothing to transfer: completes instantly.
@@ -331,11 +354,8 @@ class _RunState:
         self.result.task_finish_times[task_id] = self.now
         if task.on_complete is not None:
             task.on_complete()
-            # A callback may have changed link capacities (e.g. circuits) —
-            # EP routes resolved under the old circuit set are stale too
-            # (EPS and intra paths never change).
-            self.executor.network.mark_topology_changed()
-            self.executor._ep_path_cache.clear()
+            # A callback may have changed link capacities (e.g. circuits).
+            self.executor._topology_changed()
         for dependent in self.dependents[task_id]:
             self.remaining_deps[dependent] -= 1
             if self.remaining_deps[dependent] == 0:

@@ -7,21 +7,26 @@ max–min fairly (progressive water-filling).  The event-driven executor asks
 the network for the time until the next flow completes and advances all flows
 by that amount, which yields exact fluid-model completion times.
 
-Three interchangeable, *exact* rate solvers are provided (see DESIGN.md §2):
+A :class:`FluidNetwork` owns its flows as one struct of arrays with a CSR
+flow→link incidence (DESIGN.md §11); flows are admitted as array batches
+(:class:`FlowBatch`) and retired by mask and group-count updates.
+:class:`Flow` objects exist only as a debug adapter: made on demand by
+:attr:`FluidNetwork.flows`, :meth:`FluidNetwork.advance` and
+:attr:`FlowAdvanceOutcome.finished`, and accepted by ``add_flow(s)``.
 
-* ``"scalar"`` — the original pure-Python reference implementation, kept for
-  differential testing (``tests/test_sim_flows_properties.py`` asserts every
-  solver agrees with it to 1e-9 on randomised topologies).  It rebuilds the
-  link bookkeeping from the flow set on every solve.
-* ``"vectorized"`` — maintains the flow×link incidence structure
-  *incrementally* (adding or removing one flow touches only that flow's
-  links) and solves over it: below :data:`DENSE_ROUND_THRESHOLD` active flows
-  the bottleneck sequence is driven by a lazily-invalidated share heap with
+Three interchangeable, *exact* rate solvers read the same CSR arrays
+(see DESIGN.md §2):
+
+* ``"scalar"`` — the original pure-Python reference, kept for differential
+  testing (``tests/test_sim_flows_properties.py`` asserts every solver
+  agrees with it to 1e-9 on randomised topologies).
+* ``"vectorized"`` — below :data:`DENSE_ROUND_THRESHOLD` active flows the
+  bottleneck sequence is driven by a lazily-invalidated share heap with
   exact-tie draining, above it by numpy water-filling rounds over the dense
   incidence matrix.
-* ``"native"`` — the same incremental structures feeding a small compiled C
-  kernel (:mod:`repro.sim._native`) when a compiler is available; silently
-  falls back to ``"vectorized"`` otherwise.
+* ``"native"`` — a small compiled C kernel (:mod:`repro.sim._native`) when
+  a compiler is available; silently falls back to ``"vectorized"``
+  otherwise.
 
 ``"auto"`` (the default) resolves to ``"native"`` when the kernel is
 available and ``"vectorized"`` otherwise.  Select per network with
@@ -29,17 +34,19 @@ available and ``"vectorized"`` otherwise.  Select per network with
 ``RuntimeOptions(fluid_solver=...)``, or process-wide via
 :func:`set_default_solver` / the ``REPRO_FLUID_SOLVER`` environment variable.
 
-Note on capacity changes: the scalar solver re-reads link capacities from the
-region on every solve; the incremental solvers cache them and refresh on
+Link capacities are cached per network and re-read on
 :meth:`FluidNetwork.mark_topology_changed` (which all in-tree capacity
-mutations already trigger, e.g. the executor after reconfiguration callbacks).
+mutations already trigger, e.g. the executor after reconfiguration
+callbacks).
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import warnings
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -135,6 +142,10 @@ def resolve_solver(solver: Optional[str]) -> str:
 class Flow:
     """A single data transfer over a fixed path.
 
+    The debug adapter's form of a flow: :class:`FluidNetwork` stores flows
+    as arrays, accepts ``Flow`` objects in :meth:`FluidNetwork.add_flows`
+    and hands out fresh ``Flow`` views of its slots.
+
     Attributes:
         flow_id: Unique identifier.
         size_bytes: Total bytes to transfer.
@@ -185,8 +196,55 @@ class Flow:
         return flow
 
 
+@dataclass(slots=True, eq=False)
+class FlowBatch:
+    """Flows admitted together, as arrays — the unit of
+    :meth:`FluidNetwork.add_flows`.
+
+    ``sizes`` and ``thresholds`` (the :class:`Flow` finish threshold) are
+    float64 arrays with one entry per flow; ``route_of`` maps each flow to
+    its route in ``rows``, which holds each route's incidence rows as given
+    by :meth:`FluidNetwork.path_rows`.  Routes are numbered in order of
+    first use, so a batch whose every flow has its own route has
+    ``route_of == arange(len(batch))``.  ``ids`` names the flows for the
+    debug adapter; without it flow ``i`` of a batch admitted under group
+    ``g`` is called ``f"{g}/f{i}"``, a string made only when something asks
+    for it.
+    """
+
+    sizes: np.ndarray
+    thresholds: np.ndarray
+    route_of: np.ndarray
+    rows: Sequence[List[int]]
+    ids: Optional[Sequence[str]] = None
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+
+_NO_SLOTS = np.zeros(0, dtype=np.int64)
+
+
+def _grown(array: np.ndarray, size: int) -> np.ndarray:
+    """``array`` if it holds ``size`` entries, else a copy of it with
+    ``max(size, 64)`` entries."""
+    if len(array) >= size:
+        return array
+    grown = np.zeros(max(size, 64), dtype=array.dtype)
+    grown[: len(array)] = array
+    return grown
+
+
 class FluidNetwork:
     """Max–min fair fluid bandwidth sharing over a :class:`RegionNetwork`.
+
+    The network owns its flows as one struct of arrays indexed by *slot*
+    (DESIGN.md §11): remaining bytes, rate, finish threshold, group slot,
+    active mask and admission number, plus the CSR incidence
+    ``_ptr``/``_rows`` (slot ``s`` crosses rows ``_rows[_ptr[s]:_ptr[s+1]]``).
+    Slots are handed out in admission order; a finished flow stays in its
+    slot, masked inactive, until a compaction (which keeps the relative
+    order of the survivors) or until the network empties and starts over.
 
     Args:
         region: The region whose links carry the flows.  Link capacities are
@@ -200,562 +258,362 @@ class FluidNetwork:
     def __init__(self, region: RegionNetwork, solver: Optional[str] = None) -> None:
         self.region = region
         self.solver = resolve_solver(solver)
-        self._flows: Dict[str, Flow] = {}
-        self._rates_dirty = True
-        # Optional flow grouping (used by the executor to map flows back to
-        # their owning communication task): the folded advance loop stops as
-        # soon as any group drains, because completing the owning task needs
-        # Python.  Groups are orthogonal to the rate solvers.  Drained groups
-        # accumulate in drain order (the order their last flow finished) until
-        # the owner consumes them via consume_drained_groups().
-        self._flow_group: Dict[str, object] = {}
-        self._group_left: Dict[object, int] = {}
-        self._drained_groups: List[object] = []
-        # Per-network remaining-bytes mirror aligned with _csr_flows.  Synced
-        # means the mirror matches every flow's remaining_bytes under the
-        # current CSR layout, letting the batch assembly copy an array slice
-        # instead of gathering the attribute per flow; any flow mutation or
-        # layout change outside the batch path clears the bit (the attribute
-        # gather is always correct, just slower).
-        self._rem_buf = np.zeros(0)
-        self._rem_synced = False
-        # Lazy flow-attribute mirror: after a batched kernel call the
-        # surviving flows' ``rate``/``remaining_bytes`` live only in
-        # _rate_buf/_rem_buf until a Python-path consumer forces
-        # _sync_flow_attrs().  On the folded path most networks drain
-        # completely before anything reads the attributes, so the per-flow
-        # writeback loop is skipped entirely.
-        self._rate_buf = np.zeros(0)
-        self._attrs_synced = True
-        if self.solver != "scalar":
-            self._init_incremental_state()
-
-    # -------------------------------------------------------- incremental state
-    def _init_incremental_state(self) -> None:
-        self._link_row: Dict[str, int] = {}     # link id -> incidence row
-        self._link_ids: List[str] = []          # row -> link id
-        self._cap_list: List[float] = []        # bytes/s per row
-        self._cap_arr = np.zeros(0)             # numpy mirror for the kernel
-        self._capacity_dirty = True
-        self._row_flows: List[List[Flow]] = []  # row -> active flows crossing it
-        self._count_list: List[int] = []        # row -> active traversal count
-        self._path_rows: Dict[str, List[int]] = {}
-        # Paths repeat heavily across tasks (the same server pairs talk every
-        # layer); rows are assigned once per link and never reassigned, so
-        # the path -> rows translation is cacheable for the network's
-        # lifetime.  Values are shared (read-only) across flows.
-        # Keyed by id(path list); the value pins the path object so its id
-        # can never be recycled by a different list.  The executor shares one
-        # path list per (src, dst, route), making this an O(1) int lookup on
-        # the hottest add_flows path.
-        self._rows_of_path: Dict[int, Tuple[List[str], List[int]]] = {}
-        # The native kernel consumes only the CSR arrays, so per-flow upkeep
-        # of the row->flows lists is wasted work there; they are rebuilt on
-        # demand (_ensure_row_flows) if the network ever degrades to a Python
-        # solver.
-        self._maintains_row_flows = self.solver != "native"
-        # Native-kernel scratch: CSR buffers are persistent and only refilled
-        # when the flow set changes; cffi pointers are cached per allocation.
         self._native_loaded = None
-        self._csr_valid = False
-        self._csr_flows: List[Flow] = []
-        self._thr_buf = np.zeros(0)
-        self._active_buf = np.zeros(0, dtype=np.uint8)
-        self._csr_groups: List[object] = []
-        self._grp_buf = np.zeros(0, dtype=np.int32)
+        self._pointers: Dict[str, tuple] = {}  # see _pointer()
+        self._rates_dirty = True
+        # Links: one incidence row per link, assigned in order of first use
+        # and never reassigned (the kernel breaks round ties by row index).
+        self._link_row: Dict[str, int] = {}
+        self._link_ids: List[str] = []
+        self._cap = np.zeros(0)
+        self._capacity_dirty = True
+        # id(path) -> (path, rows); see path_rows().
+        self._rows_of_path: Dict[int, Tuple[List[str], List[int]]] = {}
+        # Flows, one slot each.
+        self._n = 0        # slots in use (live and retired)
+        self._nnz = 0      # CSR entries in use
+        self._live = 0     # active flows
+        self._rem = np.zeros(0)
+        self._rate = np.zeros(0)
+        self._thr = np.zeros(0)
+        self._grp = np.zeros(0, dtype=np.int32)
+        self._active = np.zeros(0, dtype=np.uint8)
+        self._seq = np.zeros(0, dtype=np.int64)
+        self._ungrouped = False  # some slot since the restart has no group
+        self._ptr = np.zeros(1, dtype=np.int32)
+        self._rows = np.zeros(0, dtype=np.int32)
+        # Admission records for the debug adapter: batch b holds admission
+        # numbers [_batch_starts[b], _batch_starts[b] + len(batch)).
+        self._batches: List[Tuple[FlowBatch, object]] = []
+        self._batch_starts: List[int] = []
+        self._next_seq = 0
+        # Live flow ids, built by the adapter's duplicate check on first use
+        # and dropped (None) whenever a flow retires or an id-less batch
+        # arrives.
+        self._live_ids: Optional[set] = None
+        # Bumped whenever slots move (compaction, restart when empty), which
+        # invalidates slot numbers held by earlier outcomes.
+        self._epoch = 0
+        # Groups (the executor's comm tasks): slot -> key and flows left.
+        # Drained groups accumulate in the order their last flow finished
+        # until consume_drained_groups().
         self._grp_keys: List[object] = []
-        self._csr_inactive = 0
-        self._ptr_buf = np.zeros(0, dtype=np.int32)
-        self._rows_buf = np.zeros(0, dtype=np.int32)
-        self._rates_buf = np.zeros(0)
-        self._ptr_ptr = self._rows_ptr = self._rates_ptr = self._cap_ptr = None
+        self._grp_left = np.zeros(0, dtype=np.int32)
+        self._slot_of: Dict[object, int] = {}
+        self._drained: List[object] = []
 
+    # ------------------------------------------------------------------ links
     def _row_for(self, link_id: str) -> int:
         row = self._link_row.get(link_id)
-        if row is not None:
-            return row
-        row = len(self._link_ids)
-        self._link_row[link_id] = row
-        self._link_ids.append(link_id)
-        self._cap_list.append(0.0)
-        self._row_flows.append([])
-        self._count_list.append(0)
-        self._capacity_dirty = True
+        if row is None:
+            row = self._link_row[link_id] = len(self._link_ids)
+            self._link_ids.append(link_id)
+            self._capacity_dirty = True
         return row
+
+    def path_rows(self, path: List[str]) -> List[int]:
+        """Incidence rows of ``path`` (read-only), validated the first time
+        the path is seen — a path that validated once stays valid, because
+        rows are never reassigned.  Cached by the identity of ``path``: the
+        executor resolves one path list per route and reuses it."""
+        rows_of_path = self._rows_of_path
+        entry = rows_of_path.get(id(path))
+        if entry is not None:
+            return entry[1]
+        if not path:
+            raise ValueError("flow path must contain at least one link")
+        links = self.region.links
+        for link_id in path:
+            if link_id not in links:
+                raise KeyError(f"path {path!r} uses unknown link {link_id!r}")
+        rows = [self._row_for(link_id) for link_id in path]
+        # The entry pins the path, so its id cannot be recycled.
+        rows_of_path[id(path)] = (path, rows)
+        return rows
 
     def _refresh_capacities(self) -> None:
         links = self.region.links
-        for row, link_id in enumerate(self._link_ids):
+        capacities = []
+        for link_id in self._link_ids:
             # A link can vanish from the region (e.g. an optical circuit torn
             # down by a reconfiguration); no active flow references it then,
             # so it only needs a capacity that keeps it off the bottleneck
             # scan.
             link = links.get(link_id)
             capacity = max(0.0, link.capacity_gbps) if link is not None else 0.0
-            self._cap_list[row] = capacity * GBPS_TO_BYTES_PER_S
-        if len(self._cap_arr) == len(self._cap_list):
-            # Same row set: refresh in place — cached cffi pointers into the
-            # array stay valid, and no allocation happens on the (hot)
-            # capacity-changed-between-solves path.
-            self._cap_arr[:] = self._cap_list
-        else:
-            self._cap_arr = np.array(self._cap_list)
-            self._cap_ptr = None  # pointed into the replaced array
+            capacities.append(capacity * GBPS_TO_BYTES_PER_S)
+        self._cap = np.array(capacities, dtype=np.float64)
         self._capacity_dirty = False
-
-    # --------------------------------------------------------------- flow ops
-    @property
-    def flows(self) -> Dict[str, Flow]:
-        self._sync_flow_attrs()
-        return dict(self._flows)
-
-    def active_flow_count(self) -> int:
-        return len(self._flows)
-
-    def _sync_flow_attrs(self) -> None:
-        """Write deferred ``rate``/``remaining_bytes`` back onto the flows.
-
-        :func:`_advance_native_batch` parks each block's post-advance rates
-        and remaining bytes in ``_rate_buf``/``_rem_buf`` (retired flows get
-        their attributes at retirement) instead of looping over every
-        surviving flow; any Python-path reader or mutator must call this
-        first.  A drained network — the dominant folded pattern — makes it a
-        no-op.
-        """
-        if self._attrs_synced:
-            return
-        self._attrs_synced = True
-        if not self._flows:
-            return
-        flows = self._csr_flows
-        count = len(flows)
-        active = self._active_buf[:count].tolist()
-        rate_list = self._rate_buf[:count].tolist()
-        rem_list = self._rem_buf[:count].tolist()
-        for index, is_active in enumerate(active):
-            if is_active:
-                flow = flows[index]
-                flow.rate = rate_list[index]
-                flow.remaining_bytes = rem_list[index]
-
-    def add_flow(self, flow: Flow, group: Optional[object] = None) -> None:
-        self._sync_flow_attrs()
-        if flow.flow_id in self._flows:
-            raise ValueError(f"duplicate flow id {flow.flow_id!r}")
-        for link_id in flow.path:
-            if link_id not in self.region.links:
-                raise KeyError(f"flow {flow.flow_id} uses unknown link {link_id!r}")
-        self._flows[flow.flow_id] = flow
-        if group is not None:
-            self._flow_group[flow.flow_id] = group
-            self._group_left[group] = self._group_left.get(group, 0) + 1
-        if self.solver != "scalar":
-            rows = [self._row_for(link_id) for link_id in flow.path]
-            self._path_rows[flow.flow_id] = rows
-            if self._maintains_row_flows:
-                for row in rows:
-                    self._row_flows[row].append(flow)
-                    self._count_list[row] += 1
-            self._csr_valid = False
-        self._rem_synced = False
-        self._rates_dirty = True
-
-    def add_flows(
-        self,
-        flows: Sequence[Flow],
-        group: Optional[object] = None,
-        staged: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> None:
-        """Bulk :meth:`add_flow`: one bookkeeping pass for a task's flow batch.
-
-        Semantically identical to calling :meth:`add_flow` per flow in order,
-        but hoists the attribute lookups out of the loop — the executor adds
-        every flow of a communication task at once, which makes this the
-        hottest path of graph construction.  Unknown-link validation runs
-        only the first time a path is seen; a path that validated once stays
-        valid because incidence rows are never reassigned.
-
-        ``staged`` is an optional ``(remaining, finish_thresholds)`` float64
-        array pair aligned with ``flows`` (see
-        :meth:`AdmissionPlan.staged_arrays`): when the batch lands on an
-        empty network, the arrays are copied straight into the CSR mirrors,
-        skipping both the per-flow threshold gather here and the
-        remaining-bytes gather in the next batched advance.
-        """
-        if not flows:
-            return
-        self._sync_flow_attrs()
-        rem_synced = False
-        links = self.region.links
-        flow_map = self._flows
-        if self.solver == "scalar":
-            for flow in flows:
-                if flow.flow_id in flow_map:
-                    raise ValueError(f"duplicate flow id {flow.flow_id!r}")
-                for link_id in flow.path:
-                    if link_id not in links:
-                        raise KeyError(
-                            f"flow {flow.flow_id} uses unknown link {link_id!r}"
-                        )
-                flow_map[flow.flow_id] = flow
-        else:
-            link_row = self._link_row
-            path_rows = self._path_rows
-            maintains = self._maintains_row_flows
-            row_flows = self._row_flows
-            count_list = self._count_list
-            rows_of_path = self._rows_of_path
-            row_of = link_row.get
-            # Fused CSR construction: in the dominant pattern the network is
-            # empty when a task's batch arrives (all prior flows completed),
-            # so the bookkeeping pass below sees exactly the flow set the
-            # next solve needs.  Building the CSR arrays here skips the
-            # otherwise-inevitable full _rebuild_csr pass over the same
-            # flows.
-            # (Gated on a loaded kernel: _ensure_native_buffers needs its ffi,
-            # and a network that never reaches the native solver never needs
-            # CSR arrays at all.)
-            fuse_csr = (
-                not maintains and not flow_map
-                and self._native_loaded is not None
-            )
-            flow_rows: List[int] = []
-            flow_ptr: List[int] = [0]
-            # Bulk-register ids first (two C-speed dict ops instead of a
-            # membership probe plus a setitem per flow); a length mismatch
-            # means a duplicate, identified on the cold path below.
-            flow_ids = [flow.flow_id for flow in flows]
-            before = len(flow_map)
-            flow_map.update(zip(flow_ids, flows))
-            if len(flow_map) != before + len(flows):
-                seen: set = set()
-                for flow_id in flow_ids:
-                    if flow_id in seen or flow_id in path_rows:
-                        raise ValueError(f"duplicate flow id {flow_id!r}")
-                    seen.add(flow_id)
-            rows_list: List[List[int]] = []
-            for flow in flows:
-                path = flow.path
-                entry = rows_of_path.get(id(path))
-                if entry is None:
-                    rows = []
-                    for link_id in path:
-                        if link_id not in links:
-                            raise KeyError(
-                                f"flow {flow.flow_id} uses unknown link "
-                                f"{link_id!r}"
-                            )
-                        row = row_of(link_id)
-                        rows.append(
-                            row if row is not None else self._row_for(link_id)
-                        )
-                    rows_of_path[id(path)] = (path, rows)
-                else:
-                    rows = entry[1]
-                rows_list.append(rows)
-                if maintains:
-                    for row in rows:
-                        row_flows[row].append(flow)
-                        count_list[row] += 1
-                elif fuse_csr:
-                    flow_rows.extend(rows)
-                    flow_ptr.append(len(flow_rows))
-            path_rows.update(zip(flow_ids, rows_list))
-            if fuse_csr:
-                count = len(flows)
-                self._ensure_native_buffers(count, len(flow_rows))
-                self._ptr_buf[: len(flow_ptr)] = flow_ptr
-                self._rows_buf[: len(flow_rows)] = flow_rows
-                self._csr_flows = list(flows)
-                if staged is not None:
-                    self._thr_buf[:count] = staged[1]
-                    # Fresh flows: remaining == size, so the mirror can be
-                    # stamped now and the next batched advance skips its
-                    # remaining-bytes gather entirely.
-                    if len(self._rem_buf) < count:
-                        self._rem_buf = np.empty(
-                            max(count, 64), dtype=np.float64
-                        )
-                    self._rem_buf[:count] = staged[0]
-                    rem_synced = True
-                else:
-                    self._thr_buf[:count] = [
-                        flow._finish_threshold for flow in flows
-                    ]
-                self._active_buf[:count] = 1
-                # Reuse one grown-geometric buffer for the group-slot vector
-                # (it is all zeros or all -1 on this path — a task's batch is
-                # one group); consumers treat it as read-only between adds.
-                grp_cap = getattr(self, "_grp_cap_buf", None)
-                if grp_cap is None or len(grp_cap) < count:
-                    grp_cap = np.empty(
-                        max(count, 64, 0 if grp_cap is None else 2 * len(grp_cap)),
-                        dtype=np.int32,
-                    )
-                    self._grp_cap_buf = grp_cap
-                if group is not None:
-                    self._csr_groups = [group] * count
-                    grp_cap[:count] = 0
-                    self._grp_buf = grp_cap[:count]
-                    self._grp_keys = [group]
-                else:
-                    self._csr_groups = [None] * count
-                    grp_cap[:count] = -1
-                    self._grp_buf = grp_cap[:count]
-                    self._grp_keys = []
-                self._csr_inactive = 0
-                self._csr_valid = True
-            else:
-                self._csr_valid = False
-        if group is not None:
-            self._flow_group.update((flow.flow_id, group) for flow in flows)
-            self._group_left[group] = self._group_left.get(group, 0) + len(flows)
-        self._rem_synced = rem_synced
-        self._rates_dirty = True
-
-    def remove_flow(self, flow_id: str) -> Flow:
-        self._sync_flow_attrs()
-        flow = self._flows.pop(flow_id)
-        if self.solver != "scalar":
-            self._forget_flow(flow)
-        self._release_group(flow_id)
-        self._rates_dirty = True
-        return flow
-
-    def _forget_flow(self, flow: Flow) -> None:
-        rows = self._path_rows.pop(flow.flow_id)
-        if self._maintains_row_flows:
-            for row in rows:
-                self._row_flows[row].remove(flow)
-                self._count_list[row] -= 1
-        self._csr_valid = False
-        self._rem_synced = False
-
-    def _ensure_row_flows(self) -> None:
-        """Rebuild the row->flows lists after running without their upkeep.
-
-        Rebuilding iterates flows in insertion order and each flow's rows in
-        path order — exactly the order incremental maintenance would have
-        produced (``list.remove`` preserves relative order), so the heap
-        solver's registration-order tie-breaking is unaffected.
-        """
-        if self._maintains_row_flows:
-            return
-        row_flows: List[List[Flow]] = [[] for _ in self._link_ids]
-        counts = [0] * len(self._link_ids)
-        for flow in self._flows.values():
-            for row in self._path_rows[flow.flow_id]:
-                row_flows[row].append(flow)
-                counts[row] += 1
-        self._row_flows = row_flows
-        self._count_list = counts
-        self._maintains_row_flows = True
-
-    def _release_group(self, flow_id: str) -> None:
-        group = self._flow_group.pop(flow_id, None)
-        if group is None:
-            return
-        left = self._group_left[group] - 1
-        if left:
-            self._group_left[group] = left
-        else:
-            del self._group_left[group]
-            self._drained_groups.append(group)
-
-    def consume_drained_groups(self) -> List[object]:
-        """Groups whose last flow finished since the previous call, in drain
-        order.  The executor completes the owning comm tasks in this order —
-        the same order its per-flow ownership maps used to produce."""
-        drained = self._drained_groups
-        if drained:
-            self._drained_groups = []
-        return drained
 
     def mark_topology_changed(self) -> None:
         """Signal that link capacities changed (forces a rate recomputation)."""
         self._rates_dirty = True
-        if self.solver != "scalar":
-            self._capacity_dirty = True
+        self._capacity_dirty = True
+
+    # -------------------------------------------------------------- admission
+    def active_flow_count(self) -> int:
+        return self._live
+
+    def add_flow(self, flow: Flow, group: Optional[object] = None) -> None:
+        self.add_flows([flow], group=group)
+
+    def add_flows(self, flows, group: Optional[object] = None) -> None:
+        """Admit a batch of flows, optionally as (part of) flow group ``group``.
+
+        ``flows`` is a :class:`FlowBatch` — the executor's form, admitted
+        with array copies and one rows lookup per path — or a sequence of
+        :class:`Flow` objects (the debug adapter), which is converted to
+        one.  Flow order is admission order: the kernel breaks exact
+        completion ties by it.
+        """
+        remaining = None
+        if isinstance(flows, FlowBatch):
+            batch = flows
+            if batch.ids is None and group is None:
+                raise ValueError("a FlowBatch without ids needs a group")
+        else:
+            flows = list(flows)
+            batch = FlowBatch(
+                sizes=np.array([flow.size_bytes for flow in flows], dtype=np.float64),
+                thresholds=np.array(
+                    [flow._finish_threshold for flow in flows], dtype=np.float64
+                ),
+                route_of=np.arange(len(flows), dtype=np.int32),
+                rows=[self.path_rows(flow.path) for flow in flows],
+                ids=[flow.flow_id for flow in flows],
+            )
+            remaining = [flow.remaining_bytes for flow in flows]
+        count = len(batch)
+        if not count:
+            return
+        if batch.ids is None:
+            self._live_ids = None
+        else:
+            self._claim_ids(batch.ids)
+        if not self._live:
+            self._restart()
+        n0, nnz0 = self._n, self._nnz
+        n1 = n0 + count
+        flow_rows = batch.rows
+        if len(flow_rows) != count:
+            flow_rows = [flow_rows[route] for route in batch.route_of.tolist()]
+        bounds = list(accumulate(map(len, flow_rows), initial=nnz0))
+        nnz1 = bounds[-1]
+        if n1 > len(self._rem) or nnz1 > len(self._rows):
+            self._reserve(n1, nnz1)
+        self._ptr[n0 : n1 + 1] = bounds
+        self._rows[nnz0:nnz1] = np.fromiter(
+            chain.from_iterable(flow_rows), np.int32, nnz1 - nnz0
+        )
+        self._rem[n0:n1] = batch.sizes if remaining is None else remaining
+        self._rate[n0:n1] = 0.0
+        self._thr[n0:n1] = batch.thresholds
+        self._active[n0:n1] = 1
+        self._seq[n0:n1] = np.arange(self._next_seq, self._next_seq + count)
+        if group is None:
+            self._grp[n0:n1] = -1
+            self._ungrouped = True
+        else:
+            slot = self._slot_of.get(group)
+            if slot is None:
+                slot = self._slot_of[group] = len(self._grp_keys)
+                self._grp_keys.append(group)
+                if slot == len(self._grp_left):
+                    self._grp_left = _grown(self._grp_left, 2 * slot + 1)
+                self._grp_left[slot] = 0
+            self._grp_left[slot] += count
+            self._grp[n0:n1] = slot
+        self._batches.append((batch, group))
+        self._batch_starts.append(self._next_seq)
+        self._next_seq += count
+        self._n, self._nnz = n1, nnz1
+        self._live += count
+        self._rates_dirty = True
+
+    def _reserve(self, num_flows: int, nnz: int) -> None:
+        """Grow the slot arrays (``_ptr`` keeps one entry more) and the CSR
+        rows geometrically, keeping their contents."""
+        if num_flows > len(self._rem):
+            slots = max(num_flows, 2 * len(self._rem), 64)
+            for name in ("_rem", "_rate", "_thr", "_grp", "_active", "_seq"):
+                setattr(self, name, _grown(getattr(self, name), slots))
+            self._ptr = _grown(self._ptr, slots + 1)
+        if nnz > len(self._rows):
+            self._rows = _grown(self._rows, max(nnz, 2 * len(self._rows)))
+
+    def _restart(self) -> None:
+        """Reuse the slots from zero once every flow has finished (the
+        dominant pattern: a task's batch lands on an empty network)."""
+        self._n = self._nnz = 0
+        self._ungrouped = False
+        self._batches.clear()
+        self._batch_starts.clear()
+        self._next_seq = 0
+        self._grp_keys.clear()  # every group drained, so _slot_of is empty
+        self._epoch += 1
+
+    def _compact(self) -> None:
+        """Drop retired slots, keeping the survivors' relative order, and
+        drop drained group slots."""
+        n = self._n
+        active = self._active[:n].view(bool)
+        keep = np.flatnonzero(active)
+        lengths = np.diff(self._ptr[: n + 1])
+        rows = self._rows[: self._nnz][np.repeat(active, lengths)]
+        live = len(keep)
+        for name in ("_rem", "_rate", "_thr", "_grp", "_seq"):
+            array = getattr(self, name)
+            array[:live] = array[keep]
+        self._active[:live] = 1
+        np.cumsum(lengths[keep], dtype=np.int32, out=self._ptr[1 : live + 1])
+        self._rows[: len(rows)] = rows
+        self._n, self._nnz = live, len(rows)
+        left = self._grp_left[: len(self._grp_keys)]
+        kept = np.flatnonzero(left > 0)
+        if len(kept) < len(left):
+            remap = np.full(len(left), -1, dtype=np.int32)
+            remap[kept] = np.arange(len(kept), dtype=np.int32)
+            grp = self._grp[:live]
+            np.copyto(grp, remap[grp], where=grp >= 0)
+            self._grp_keys = [self._grp_keys[slot] for slot in kept.tolist()]
+            self._grp_left[: len(kept)] = left[kept]
+            self._slot_of = {key: slot for slot, key in enumerate(self._grp_keys)}
+        self._epoch += 1
+
+    def _active_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(slots, ptr, rows)``: the CSR of the active flows alone, in slot
+        order, rebuilt for each one-shot solve."""
+        n = self._n
+        ptr = self._ptr[: n + 1]
+        if self._live == n:
+            return np.arange(n), ptr, self._rows[: self._nnz]
+        active = self._active[:n].view(bool)
+        slots = np.flatnonzero(active)
+        lengths = np.diff(ptr)
+        compact_ptr = np.zeros(len(slots) + 1, dtype=np.int32)
+        np.cumsum(lengths[slots], dtype=np.int32, out=compact_ptr[1:])
+        return slots, compact_ptr, self._rows[: self._nnz][np.repeat(active, lengths)]
+
+    # ------------------------------------------------------------ retirement
+    def _settle_groups(self, left_after: np.ndarray, finished: np.ndarray) -> None:
+        """Install the group counts left after ``finished`` (slots, in
+        retirement order) retired, and report the groups that drained, in
+        the order their last flow retired."""
+        left = self._grp_left[: len(self._grp_keys)]
+        before = left.tolist()
+        left[:] = left_after
+        drained = [
+            slot for slot, count in enumerate(left.tolist())
+            if count == 0 and before[slot] > 0
+        ]
+        if len(drained) > 1:
+            groups = self._grp[finished].tolist()
+            last = {group: position for position, group in enumerate(groups)}
+            drained.sort(key=last.__getitem__)
+        keys = self._grp_keys
+        for slot in drained:
+            key = keys[slot]
+            del self._slot_of[key]
+            self._drained.append(key)
+
+    def _retire(self, finished: np.ndarray) -> None:
+        """Mark ``finished`` slots (in retirement order, typically one or
+        two per event) inactive and count them off their groups."""
+        self._active[finished] = 0
+        self._live -= len(finished)
+        self._live_ids = None
+        left = self._grp_left
+        for slot in self._grp[finished].tolist():
+            if slot >= 0:
+                left[slot] -= 1
+                if not left[slot]:
+                    key = self._grp_keys[slot]
+                    del self._slot_of[key]
+                    self._drained.append(key)
+
+    def consume_drained_groups(self) -> List[object]:
+        """Groups whose last flow finished since the previous call, in drain
+        order.  The executor completes the owning comm tasks in this order."""
+        drained, self._drained = self._drained, []
+        return drained
+
+    # ---------------------------------------------------------- debug adapter
+    def _origins(self, slots: np.ndarray) -> List[Tuple[FlowBatch, str, int]]:
+        """``(batch, flow id, index in batch)`` of each slot in ``slots``."""
+        origins = []
+        starts = self._batch_starts
+        for seq in self._seq[slots].tolist():
+            index = bisect.bisect_right(starts, seq) - 1
+            batch, group = self._batches[index]
+            offset = seq - starts[index]
+            flow_id = batch.ids[offset] if batch.ids is not None else f"{group}/f{offset}"
+            origins.append((batch, flow_id, offset))
+        return origins
+
+    def _claim_ids(self, flow_ids: Sequence[str]) -> None:
+        """Reject ids already live (or repeated) before the adapter admits
+        them; the live-id set is built on first use and kept until a flow
+        retires or an id-less batch arrives."""
+        live = self._live_ids
+        if live is None:
+            slots = np.flatnonzero(self._active[: self._n])
+            live = {flow_id for _, flow_id, _ in self._origins(slots)}
+        for flow_id in flow_ids:
+            if flow_id in live:
+                raise ValueError(f"duplicate flow id {flow_id!r}")
+            live.add(flow_id)
+        self._live_ids = live
+
+    def _views(self, slots: np.ndarray, epoch: Optional[int] = None) -> List[Flow]:
+        """Fresh :class:`Flow` objects mirroring ``slots``."""
+        if epoch is not None and epoch != self._epoch:
+            raise RuntimeError(
+                "finished-flow views are stale: the network has compacted or "
+                "restarted its slots since; read outcome.finished first"
+            )
+        link_ids = self._link_ids
+        views = []
+        for (batch, flow_id, offset), remaining, rate in zip(
+            self._origins(slots),
+            self._rem[slots].tolist(),
+            self._rate[slots].tolist(),
+        ):
+            rows = batch.rows[int(batch.route_of[offset])]
+            flow = Flow.make(
+                flow_id, float(batch.sizes[offset]), [link_ids[row] for row in rows]
+            )
+            flow.remaining_bytes = remaining
+            flow.rate = rate
+            views.append(flow)
+        return views
+
+    @property
+    def flows(self) -> Dict[str, Flow]:
+        """Active flows by id, in admission order (fresh views)."""
+        views = self._views(np.flatnonzero(self._active[: self._n]))
+        return {flow.flow_id: flow for flow in views}
 
     # ------------------------------------------------------------ rate solver
     def compute_rates(self) -> None:
-        """Max–min fair allocation; updates every flow's ``rate``."""
-        self._sync_flow_attrs()
-        if self.solver == "scalar":
-            self._compute_rates_scalar()
-        else:
-            if self._capacity_dirty:
-                self._refresh_capacities()
-            if self.solver == "native":
+        """Max–min fair allocation of every active flow's rate."""
+        if self._capacity_dirty:
+            self._refresh_capacities()
+        if self._live:
+            if self._native_ready():
                 self._solve_native()
             else:
                 self._solve_python()
         self._rates_dirty = False
 
     def _solve_python(self) -> None:
-        if len(self._flows) >= DENSE_ROUND_THRESHOLD:
-            self._solve_rounds_dense()
+        slots, ptr, rows = self._active_csr()
+        if self.solver == "scalar":
+            rates = _waterfill_scalar(ptr, rows, self._cap)
+        elif len(slots) >= DENSE_ROUND_THRESHOLD:
+            rates = _waterfill_dense(ptr, rows, self._cap)
         else:
-            self._solve_rounds_heap()
-
-    def _solve_rounds_heap(self) -> None:
-        """Progressive water-filling with a heap-ordered bottleneck sequence.
-
-        Each round pops the link with the smallest residual fair share,
-        freezes every unfrozen flow crossing it at that share, drains any
-        *exactly* tied links that the freeze left untouched (their shares are
-        provably still minimal), and finally pushes one refreshed entry per
-        touched link.  Stale heap entries are invalidated lazily via per-link
-        version counters.  Initial entries share version 0, so first-round
-        ties break on row index — link-registration order, like the scalar
-        reference's dict scan.
-        """
-        flows = self._flows
-        for flow in flows.values():
-            flow.rate = 0.0
-        if not flows:
-            return
-        counts = self._count_list.copy()
-        residual = self._cap_list.copy()
-        num_rows = len(counts)
-        version = [0] * num_rows
-        row_flows = self._row_flows
-        path_rows = self._path_rows
-        heap = [
-            (residual[row] / counts[row], 0, row)
-            for row in range(num_rows)
-            if counts[row] > 0
-        ]
-        heapq.heapify(heap)
-        unfrozen = set(flows)
-        touched: List[int] = []
-        touched_flag = bytearray(num_rows)
-        pop = heapq.heappop
-        push = heapq.heappush
-
-        def freeze_link(row: int, share: float) -> None:
-            for flow in row_flows[row]:
-                flow_id = flow.flow_id
-                if flow_id not in unfrozen:
-                    continue
-                flow.rate = share
-                unfrozen.discard(flow_id)
-                for touched_row in path_rows[flow_id]:
-                    value = residual[touched_row] - share
-                    residual[touched_row] = value if value > 0.0 else 0.0
-                    counts[touched_row] -= 1
-                    version[touched_row] += 1
-                    if not touched_flag[touched_row]:
-                        touched_flag[touched_row] = 1
-                        touched.append(touched_row)
-
-        while unfrozen:
-            while heap:
-                share, entry_version, row = pop(heap)
-                if entry_version == version[row] and counts[row] > 0:
-                    break
-            else:
-                # No remaining constraints: unconstrained flows get "infinite"
-                # rate; in practice every path has at least one finite link.
-                for flow_id in unfrozen:
-                    flows[flow_id].rate = float("inf")
-                break
-            if share < 0.0:
-                share = 0.0
-            freeze_link(row, share)
-            # Exact ties whose links the freeze did not touch still hold the
-            # minimal share (shares of touched links can only grow), so they
-            # can be drained in the same round; touched links' entries are
-            # stale by version and skipped.
-            while heap and heap[0][0] == share:
-                _, entry_version, tied_row = pop(heap)
-                if entry_version == version[tied_row] and counts[tied_row] > 0:
-                    freeze_link(tied_row, share)
-            for touched_row in touched:
-                touched_flag[touched_row] = 0
-                if counts[touched_row] > 0:
-                    push(
-                        heap,
-                        (
-                            residual[touched_row] / counts[touched_row],
-                            version[touched_row],
-                            touched_row,
-                        ),
-                    )
-            touched.clear()
-
-    def _solve_rounds_dense(self) -> None:
-        """Progressive water-filling as numpy rounds over the dense incidence
-        matrix — the profitable formulation once enough flows are active."""
-        flows = list(self._flows.values())
-        for flow in flows:
-            flow.rate = 0.0
-        if not flows:
-            return
-        num_rows = len(self._link_ids)
-        num_flows = len(flows)
-        row_index: List[int] = []
-        col_index: List[int] = []
-        for compact, flow in enumerate(flows):
-            for row in self._path_rows[flow.flow_id]:
-                row_index.append(row)
-                col_index.append(compact)
-        incidence = np.zeros((num_rows, num_flows))
-        np.add.at(incidence, (row_index, col_index), 1.0)
-        residual = self._cap_arr.copy()
-        rates = np.zeros(num_flows)
-        unfrozen = np.ones(num_flows, dtype=bool)
-        counts = incidence.sum(axis=1)
-        while unfrozen.any():
-            carrying = counts > 0.0
-            if not carrying.any():
-                rates[unfrozen] = np.inf
-                break
-            shares = np.full(num_rows, np.inf)
-            np.divide(residual, counts, out=shares, where=carrying)
-            bottleneck = int(np.argmin(shares))
-            share = max(0.0, float(shares[bottleneck]))
-            freeze = unfrozen & (incidence[bottleneck] > 0.0)
-            rates[freeze] = share
-            unfrozen &= ~freeze
-            frozen_counts = incidence[:, np.nonzero(freeze)[0]].sum(axis=1)
-            residual -= share * frozen_counts
-            np.maximum(residual, 0.0, out=residual)
-            counts -= frozen_counts
-        for flow, rate in zip(flows, rates.tolist()):
-            flow.rate = rate
-
-    def _ensure_native_buffers(self, num_flows: int, nnz: int) -> None:
-        """Grow the persistent CSR buffers, preserving their contents.
-
-        Preservation matters for the incremental append path
-        (:meth:`add_flows` onto a valid CSR), where existing entries stay
-        live across a growth.
-        """
-        _, ffi = self._native_loaded
-        if len(self._ptr_buf) < num_flows + 1:
-            grown = np.zeros(max(2 * (num_flows + 1), 64), dtype=np.int32)
-            grown[: len(self._ptr_buf)] = self._ptr_buf
-            self._ptr_buf = grown
-            self._ptr_ptr = ffi.cast("const int *", ffi.from_buffer(self._ptr_buf))
-        if len(self._rows_buf) < nnz:
-            grown = np.zeros(max(2 * nnz, 256), dtype=np.int32)
-            grown[: len(self._rows_buf)] = self._rows_buf
-            self._rows_buf = grown
-            self._rows_ptr = ffi.cast("const int *", ffi.from_buffer(self._rows_buf))
-        if len(self._rates_buf) < num_flows:
-            grown = np.zeros(max(2 * num_flows, 64))
-            grown[: len(self._rates_buf)] = self._rates_buf
-            self._rates_buf = grown
-            self._rates_ptr = ffi.cast("double *", ffi.from_buffer(self._rates_buf))
-        if len(self._thr_buf) < num_flows:
-            grown = np.zeros(max(2 * num_flows, 64))
-            grown[: len(self._thr_buf)] = self._thr_buf
-            self._thr_buf = grown
-        if len(self._active_buf) < num_flows:
-            grown = np.zeros(max(2 * num_flows, 64), dtype=np.uint8)
-            grown[: len(self._active_buf)] = self._active_buf
-            self._active_buf = grown
+            rates = _waterfill_heap(ptr, rows, self._cap)
+        self._rate[slots] = rates
 
     def _native_ready(self) -> bool:
         """Lazily load the C kernel; degrade to ``vectorized`` if unavailable."""
@@ -768,194 +626,92 @@ class FluidNetwork:
             if self._native_loaded is None:
                 # Compiler/kernel unavailable after all; degrade gracefully.
                 self.solver = "vectorized"
-                self._ensure_row_flows()
                 return False
         return True
 
-    def _native_oom_fallback(self, entry_point: str) -> None:
-        """The C kernel reported scratch-allocation failure (WF_OOM).
-
-        Its rates are zeroed, not valid — previously this surfaced much later
-        as an inexplicable executor "deadlock".  Demote to the Python solver
-        (the allocation would just fail again) and solve with it.
-        """
-        warnings.warn(
-            f"native fluid kernel ({entry_point}) could not allocate scratch "
-            f"memory; falling back to the Python rate solver",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        self.solver = "vectorized"
-        self._ensure_row_flows()
-        self._solve_python()
-
-    def _rebuild_csr(self) -> None:
-        """Refill the persistent CSR buffers from the current flow set."""
-        # Deferred attributes must land before the layout shifts: the
-        # mirror buffers are positional against the old _csr_flows.
-        self._sync_flow_attrs()
-        self._rem_synced = False  # positions shift under compaction
-        flows = list(self._flows.values())
-        path_rows = self._path_rows
-        flow_ptr = [0]
-        flow_rows: List[int] = []
-        for flow in flows:
-            flow_rows.extend(path_rows[flow.flow_id])
-            flow_ptr.append(len(flow_rows))
-        self._ensure_native_buffers(len(flows), len(flow_rows))
-        self._ptr_buf[: len(flow_ptr)] = flow_ptr
-        self._rows_buf[: len(flow_rows)] = flow_rows
-        self._csr_flows = flows
-        # Per-flow constants aligned with _csr_flows, gathered once per
-        # rebuild instead of once per batch round: finish thresholds are
-        # immutable, and a flow's group never changes while it is active.
-        self._thr_buf[: len(flows)] = [flow._finish_threshold for flow in flows]
-        self._active_buf[: len(flows)] = 1
-        flow_group = self._flow_group
-        if flow_group:
-            self._csr_groups = [flow_group.get(flow.flow_id) for flow in flows]
-            # Local group slots (-1 = ungrouped), remapped into the batch's
-            # shared slot space with one vectorized add per round.
-            slots: Dict[object, int] = {}
-            grp_buf = np.full(len(flows), -1, dtype=np.int32)
-            for position, key in enumerate(self._csr_groups):
-                if key is None:
-                    continue
-                slot = slots.get(key)
-                if slot is None:
-                    slot = slots[key] = len(slots)
-                grp_buf[position] = slot
-            self._grp_buf = grp_buf
-            self._grp_keys = list(slots)
-        else:
-            self._csr_groups = [None] * len(flows)
-            self._grp_buf = np.full(len(flows), -1, dtype=np.int32)
-            self._grp_keys = []
-        self._csr_inactive = 0
-        self._csr_valid = True
-
     def _solve_native(self) -> None:
-        """Feed the incremental incidence (as CSR arrays) to the C kernel."""
-        if not self._native_ready():
-            self._solve_python()
-            return
+        """One-shot C solve over the active slots, in place."""
         lib, ffi = self._native_loaded
-        if not self._flows:
-            return
-        if not self._csr_valid or self._csr_inactive:
-            # The one-shot entry point has no active mask, so retired CSR
-            # entries must be compacted away first.
-            self._rebuild_csr()
-        flows = self._csr_flows
-        if self._cap_ptr is None:
-            self._cap_ptr = ffi.cast("const double *", ffi.from_buffer(self._cap_arr))
         status = lib.waterfill(
-            len(flows),
+            self._n,
             len(self._link_ids),
-            self._ptr_ptr,
-            self._rows_ptr,
-            self._cap_ptr,
-            self._rates_ptr,
+            self._pointer(ffi, "_ptr", "const int *"),
+            self._pointer(ffi, "_rows", "const int *"),
+            self._pointer(ffi, "_cap", "const double *"),
+            self._pointer(ffi, "_active", "const unsigned char *"),
+            self._pointer(ffi, "_rate", "double *"),
         )
         if status != 0:
-            self._native_oom_fallback("waterfill")
-            return
-        for flow, rate in zip(flows, self._rates_buf[: len(flows)].tolist()):
-            flow.rate = rate
+            # Scratch-allocation failure (WF_OOM): the rates are zeroed, not
+            # valid.  Demote to the Python solver — the allocation would just
+            # fail again — and solve with it.
+            warnings.warn(
+                "native fluid kernel (waterfill) could not allocate scratch "
+                "memory; falling back to the Python rate solver",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            self.solver = "vectorized"
+            self._solve_python()
 
-    def _compute_rates_scalar(self) -> None:
-        """Reference implementation: pure-Python progressive water-filling."""
-        flows = list(self._flows.values())
-        for flow in flows:
-            flow.rate = 0.0
-        if not flows:
-            return
-
-        link_capacity: Dict[str, float] = {}
-        link_flows: Dict[str, List[Flow]] = {}
-        for flow in flows:
-            for link_id in flow.path:
-                if link_id not in link_capacity:
-                    link = self.region.links[link_id]
-                    link_capacity[link_id] = max(0.0, link.capacity_gbps) * GBPS_TO_BYTES_PER_S
-                    link_flows[link_id] = []
-                link_flows[link_id].append(flow)
-
-        unfrozen = set(f.flow_id for f in flows)
-        residual = dict(link_capacity)
-        active_on_link = {lid: len(fls) for lid, fls in link_flows.items()}
-
-        while unfrozen:
-            # Find the most constraining link among links carrying unfrozen flows.
-            bottleneck_share = None
-            bottleneck_link = None
-            for link_id, count in active_on_link.items():
-                if count <= 0:
-                    continue
-                share = residual[link_id] / count
-                if bottleneck_share is None or share < bottleneck_share:
-                    bottleneck_share = share
-                    bottleneck_link = link_id
-            if bottleneck_link is None:
-                # No remaining constraints: unconstrained flows get "infinite"
-                # rate; in practice every path has at least one finite link.
-                for flow in flows:
-                    if flow.flow_id in unfrozen:
-                        flow.rate = float("inf")
-                break
-            share = max(0.0, bottleneck_share or 0.0)
-            # Freeze every unfrozen flow crossing the bottleneck at this rate.
-            for flow in link_flows[bottleneck_link]:
-                if flow.flow_id not in unfrozen:
-                    continue
-                flow.rate = share
-                unfrozen.discard(flow.flow_id)
-                for link_id in flow.path:
-                    residual[link_id] = max(0.0, residual[link_id] - share)
-                    active_on_link[link_id] -= 1
+    def _pointer(self, ffi, name: str, ctype: str):
+        """A cffi pointer to array attribute ``name``, cached until the
+        attribute is replaced (growth, capacity refresh)."""
+        array = getattr(self, name)
+        cached = self._pointers.get(name)
+        if cached is None or cached[0] is not array:
+            cached = self._pointers[name] = (array, ffi.cast(ctype, ffi.from_buffer(array)))
+        return cached[1]
 
     # ------------------------------------------------------------ progression
     def time_to_next_completion(self) -> Optional[float]:
-        """Time until the first active flow finishes, or ``None`` if no flows."""
-        self._sync_flow_attrs()
+        """Time until the first active flow finishes, or ``None`` if no flows
+        (or none can make progress: all their paths are dark)."""
         if self._rates_dirty:
             self.compute_rates()
-        best: Optional[float] = None
-        for flow in self._flows.values():
-            if flow.rate <= 0:
-                continue
-            dt = flow.remaining_bytes / flow.rate
-            if best is None or dt < best:
-                best = dt
-        if self._flows and best is None:
-            # Flows exist but none can make progress (all paths dark).
+        if not self._live:
             return None
-        return best
+        n = self._n
+        rate = self._rate[:n]
+        moving = (rate > 0) & self._active[:n].view(bool)
+        if not moving.any():
+            return None
+        return float((self._rem[:n][moving] / rate[moving]).min())
 
-    def advance(self, dt: float) -> List[Flow]:
-        """Advance all flows by ``dt`` seconds; return the flows that finished."""
+    def _progress(self, dt: float) -> np.ndarray:
+        """Advance every active flow by ``dt`` seconds and retire the ones
+        that finished; returns their slots in slot order."""
         if dt < 0:
             raise ValueError("dt must be non-negative")
-        self._sync_flow_attrs()
         if self._rates_dirty:
             self.compute_rates()
-        self._rem_synced = False
-        finished: List[Flow] = []
-        scalar = self.solver == "scalar"
-        for flow in list(self._flows.values()):
-            rate = flow.rate
-            if rate > 0:
-                remaining = flow.remaining_bytes - rate * dt
-                flow.remaining_bytes = remaining if remaining > 0.0 else 0.0
-            if flow.remaining_bytes <= flow._finish_threshold:
-                finished.append(flow)
-                del self._flows[flow.flow_id]
-                if not scalar:
-                    self._forget_flow(flow)
-                self._release_group(flow.flow_id)
-        if finished:
+        if not self._live:
+            return _NO_SLOTS
+        n = self._n
+        active = self._active[:n].view(bool)
+        rate = self._rate[:n]
+        remaining = self._rem[:n]
+        moving = ((rate > 0) & active).nonzero()[0]
+        if dt > 0:
+            # Clamped at zero, like the kernel's `v > 0.0 ? v : 0.0`.
+            remaining[moving] = np.fmax(remaining[moving] - rate[moving] * dt, 0.0)
+        else:
+            # inf * 0 is NaN, which that clamp turns into zero.
+            remaining[moving[np.isinf(rate[moving])]] = 0.0
+        finished = ((remaining <= self._thr[:n]) & active).nonzero()[0]
+        if len(finished):
+            self._retire(finished)
             self._rates_dirty = True
         return finished
+
+    def progress(self, dt: float) -> int:
+        """Advance all flows by ``dt`` seconds; return how many finished."""
+        return len(self._progress(dt))
+
+    def advance(self, dt: float) -> List[Flow]:
+        """Advance all flows by ``dt`` seconds; return the flows that finished
+        (debug adapter over :meth:`progress`)."""
+        return self._views(self._progress(dt))
 
     def advance_through(
         self,
@@ -971,6 +727,182 @@ class FluidNetwork:
         return service_advance_requests(
             [FlowAdvanceRequest(self, now, budget, max_steps)]
         )[0]
+
+
+# -------------------------------------------------------- python water-filling
+def _flow_rows(ptr: np.ndarray, rows: np.ndarray) -> List[List[int]]:
+    bounds = ptr.tolist()
+    row_list = rows.tolist()
+    return [row_list[bounds[f] : bounds[f + 1]] for f in range(len(bounds) - 1)]
+
+
+def _waterfill_scalar(ptr: np.ndarray, rows: np.ndarray, caps: np.ndarray) -> List[float]:
+    """Reference implementation: pure-Python progressive water-filling.
+
+    Links are scanned in order of first use by the flows (flow order, then
+    path order) and the first minimal share wins.
+    """
+    flow_rows = _flow_rows(ptr, rows)
+    capacity = caps.tolist()
+    rates = [0.0] * len(flow_rows)
+    residual: Dict[int, float] = {}
+    link_flows: Dict[int, List[int]] = {}
+    for flow, path in enumerate(flow_rows):
+        for row in path:
+            if row not in residual:
+                residual[row] = capacity[row]
+                link_flows[row] = []
+            link_flows[row].append(flow)
+    unfrozen = set(range(len(flow_rows)))
+    active_on_link = {row: len(members) for row, members in link_flows.items()}
+
+    while unfrozen:
+        # Find the most constraining link among links carrying unfrozen flows.
+        bottleneck_share = None
+        bottleneck_link = None
+        for row, count in active_on_link.items():
+            if count <= 0:
+                continue
+            share = residual[row] / count
+            if bottleneck_share is None or share < bottleneck_share:
+                bottleneck_share = share
+                bottleneck_link = row
+        if bottleneck_link is None:
+            # No remaining constraints: unconstrained flows get "infinite"
+            # rate; in practice every path has at least one finite link.
+            for flow in unfrozen:
+                rates[flow] = float("inf")
+            break
+        share = max(0.0, bottleneck_share or 0.0)
+        # Freeze every unfrozen flow crossing the bottleneck at this rate.
+        for flow in link_flows[bottleneck_link]:
+            if flow not in unfrozen:
+                continue
+            rates[flow] = share
+            unfrozen.discard(flow)
+            for row in flow_rows[flow]:
+                residual[row] = max(0.0, residual[row] - share)
+                active_on_link[row] -= 1
+    return rates
+
+
+def _waterfill_heap(ptr: np.ndarray, rows: np.ndarray, caps: np.ndarray) -> List[float]:
+    """Progressive water-filling with a heap-ordered bottleneck sequence.
+
+    Each round pops the link with the smallest residual fair share,
+    freezes every unfrozen flow crossing it at that share, drains any
+    *exactly* tied links that the freeze left untouched (their shares are
+    provably still minimal), and finally pushes one refreshed entry per
+    touched link.  Stale heap entries are invalidated lazily via per-link
+    version counters.  Initial entries share version 0, so first-round
+    ties break on row index.
+    """
+    flow_rows = _flow_rows(ptr, rows)
+    num_rows = len(caps)
+    row_flows: List[List[int]] = [[] for _ in range(num_rows)]
+    for flow, path in enumerate(flow_rows):
+        for row in path:
+            row_flows[row].append(flow)
+    counts = [len(members) for members in row_flows]
+    residual = caps.tolist()
+    rates = [0.0] * len(flow_rows)
+    version = [0] * num_rows
+    heap = [
+        (residual[row] / counts[row], 0, row)
+        for row in range(num_rows)
+        if counts[row] > 0
+    ]
+    heapq.heapify(heap)
+    frozen = bytearray(len(flow_rows))
+    unfrozen = len(flow_rows)
+    touched: List[int] = []
+    touched_flag = bytearray(num_rows)
+    pop = heapq.heappop
+    push = heapq.heappush
+
+    def freeze_link(row: int, share: float) -> int:
+        newly = 0
+        for flow in row_flows[row]:
+            if frozen[flow]:
+                continue
+            rates[flow] = share
+            frozen[flow] = 1
+            newly += 1
+            for touched_row in flow_rows[flow]:
+                value = residual[touched_row] - share
+                residual[touched_row] = value if value > 0.0 else 0.0
+                counts[touched_row] -= 1
+                version[touched_row] += 1
+                if not touched_flag[touched_row]:
+                    touched_flag[touched_row] = 1
+                    touched.append(touched_row)
+        return newly
+
+    while unfrozen:
+        while heap:
+            share, entry_version, row = pop(heap)
+            if entry_version == version[row] and counts[row] > 0:
+                break
+        else:
+            # No remaining constraints: unconstrained flows get "infinite"
+            # rate; in practice every path has at least one finite link.
+            for flow, is_frozen in enumerate(frozen):
+                if not is_frozen:
+                    rates[flow] = float("inf")
+            break
+        if share < 0.0:
+            share = 0.0
+        unfrozen -= freeze_link(row, share)
+        # Exact ties whose links the freeze did not touch still hold the
+        # minimal share (shares of touched links can only grow), so they
+        # can be drained in the same round; touched links' entries are
+        # stale by version and skipped.
+        while heap and heap[0][0] == share:
+            _, entry_version, tied_row = pop(heap)
+            if entry_version == version[tied_row] and counts[tied_row] > 0:
+                unfrozen -= freeze_link(tied_row, share)
+        for touched_row in touched:
+            touched_flag[touched_row] = 0
+            if counts[touched_row] > 0:
+                push(
+                    heap,
+                    (
+                        residual[touched_row] / counts[touched_row],
+                        version[touched_row],
+                        touched_row,
+                    ),
+                )
+        touched.clear()
+    return rates
+
+
+def _waterfill_dense(ptr: np.ndarray, rows: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Progressive water-filling as numpy rounds over the dense incidence
+    matrix — the profitable formulation once enough flows are active."""
+    num_flows = len(ptr) - 1
+    incidence = np.zeros((len(caps), num_flows))
+    np.add.at(incidence, (rows, np.repeat(np.arange(num_flows), np.diff(ptr))), 1.0)
+    residual = caps.copy()
+    rates = np.zeros(num_flows)
+    unfrozen = np.ones(num_flows, dtype=bool)
+    counts = incidence.sum(axis=1)
+    while unfrozen.any():
+        carrying = counts > 0.0
+        if not carrying.any():
+            rates[unfrozen] = np.inf
+            break
+        shares = np.full(len(caps), np.inf)
+        np.divide(residual, counts, out=shares, where=carrying)
+        bottleneck = int(np.argmin(shares))
+        share = max(0.0, float(shares[bottleneck]))
+        freeze = unfrozen & (incidence[bottleneck] > 0.0)
+        rates[freeze] = share
+        unfrozen &= ~freeze
+        frozen_counts = incidence[:, np.nonzero(freeze)[0]].sum(axis=1)
+        residual -= share * frozen_counts
+        np.maximum(residual, 0.0, out=residual)
+        counts -= frozen_counts
+    return rates
 
 
 # --------------------------------------------------------------- folded advance
@@ -997,7 +929,6 @@ class FlowAdvanceOutcome:
 
     Attributes:
         now: Simulated time after the last consumed completion.
-        finished: Flows that completed, in completion (then flow) order.
         next_flow: Absolute time of the first unconsumed completion when the
             stop reason is ``"budget"``; ``None`` otherwise.
         steps: Flow-completion events consumed.
@@ -1011,15 +942,28 @@ class FlowAdvanceOutcome:
         rounds_replayed: Rounds the incremental mode inherited from the
             carried freeze record instead of re-executing (0 unless
             ``incremental_enabled()`` and the native kernel ran).
+        network, finished_slots, epoch: Where the finished flows live; see
+            :attr:`finished`.
     """
 
     now: float
-    finished: List[Flow]
     next_flow: Optional[float]
     steps: int
     reason: str
     solve_rounds: int = 0
     rounds_replayed: int = 0
+    network: Optional[FluidNetwork] = field(default=None, repr=False)
+    finished_slots: Optional[np.ndarray] = field(default=None, repr=False)
+    epoch: int = 0
+
+    @property
+    def finished(self) -> List[Flow]:
+        """Flows that completed, in completion (then flow) order, as fresh
+        :class:`Flow` views (debug adapter).  Read it before the network
+        admits into an empty slot table or compacts."""
+        if self.finished_slots is None or not len(self.finished_slots):
+            return []
+        return self.network._views(self.finished_slots, self.epoch)
 
 
 #: waterfill_batch stop codes, in C enum order (WF_STOP_*).
@@ -1041,8 +985,8 @@ def service_advance_requests(
     native_indices: List[int] = []
     for index, request in enumerate(requests):
         network = request.network
-        if not network._flows:
-            outcomes[index] = FlowAdvanceOutcome(request.now, [], None, 0, "idle")
+        if not network._live:
+            outcomes[index] = FlowAdvanceOutcome(request.now, None, 0, "idle")
         elif network._native_ready():
             native_indices.append(index)
         else:
@@ -1050,7 +994,7 @@ def service_advance_requests(
     if native_indices:
         batch = _advance_native_batch([requests[i] for i in native_indices])
         if batch is None:
-            # Kernel scratch OOM (already warned): nothing was touched, so the
+            # Kernel scratch OOM (already warned): no flow moved, so the
             # Python loop can service each request from the same state.
             batch = [_advance_python(requests[i]) for i in native_indices]
         for index, outcome in zip(native_indices, batch):
@@ -1063,24 +1007,31 @@ def _advance_python(request: FlowAdvanceRequest) -> FlowAdvanceOutcome:
     per-event primitives (so it works with every solver)."""
     network = request.network
     now = request.now
-    finished: List[Flow] = []
+    finished: List[np.ndarray] = []
     steps = 0
+
+    def outcome(next_flow: Optional[float], reason: str) -> FlowAdvanceOutcome:
+        slots = np.concatenate(finished) if finished else _NO_SLOTS
+        return FlowAdvanceOutcome(
+            now, next_flow, steps, reason,
+            network=network, finished_slots=slots, epoch=network._epoch,
+        )
+
     while True:
         dt = network.time_to_next_completion()
         if dt is None:
-            reason = "stall" if network._flows else "idle"
-            return FlowAdvanceOutcome(now, finished, None, steps, reason)
+            return outcome(None, "stall" if network._live else "idle")
         at = now + dt
         if request.budget is not None and request.budget <= at:
-            return FlowAdvanceOutcome(now, finished, at, steps, "budget")
+            return outcome(at, "budget")
         if steps >= request.max_steps:
-            return FlowAdvanceOutcome(now, finished, None, steps, "steps")
-        drained_before = len(network._drained_groups)
-        finished.extend(network.advance(dt))
+            return outcome(None, "steps")
+        drained_before = len(network._drained)
+        finished.append(network._progress(dt))
         now = at
         steps += 1
-        if len(network._drained_groups) > drained_before:
-            return FlowAdvanceOutcome(now, finished, None, steps, "group")
+        if len(network._drained) > drained_before:
+            return outcome(None, "group")
 
 
 class _BatchScratch:
@@ -1138,8 +1089,11 @@ def _advance_native_batch(
 ) -> Optional[List[FlowAdvanceOutcome]]:
     """Advance all requests with one ``waterfill_batch`` call.
 
-    Returns ``None`` (after warning) if the kernel reports scratch OOM; the
-    networks are untouched in that case.
+    Each block's flow arrays are copied into the stacked batch buffers and
+    the post-advance remaining bytes, rates and active mask copied back;
+    retirement is then a mask and group-count update per block, with no
+    per-flow Python.  Returns ``None`` (after warning) if the kernel reports
+    scratch OOM; no flow has moved in that case.
     """
     lib, ffi = requests[0].network._native_loaded
     num_blocks = len(requests)
@@ -1148,25 +1102,17 @@ def _advance_native_batch(
     block_rows = scratch.get("block_rows", num_blocks + 1, np.int32)
     block_flows[0] = 0
     block_rows[0] = 0
-    # First pass: bring every block's CSR up to date and size the batch.
-    blocks: List[Tuple[FluidNetwork, List[Flow], int, int]] = []
+    # First pass: compact sparse blocks and size the batch.
     flow_base = row_base = nnz_base = group_total = 0
     for index, request in enumerate(requests):
         network = request.network
         if network._capacity_dirty:
             network._refresh_capacities()
-        if (
-            not network._csr_valid
-            or 2 * network._csr_inactive > len(network._csr_flows)
-        ):
-            network._rebuild_csr()
-        flows = network._csr_flows
-        num_flows = len(flows)
-        nnz = int(network._ptr_buf[num_flows])
-        blocks.append((network, flows, num_flows, nnz))
-        flow_base += num_flows
+        if 2 * network._live < network._n:
+            network._compact()
+        flow_base += network._n
         row_base += len(network._link_ids)
-        nnz_base += nnz
+        nnz_base += network._nnz
         group_total += len(network._grp_keys)
         block_flows[index + 1] = flow_base
         block_rows[index + 1] = row_base
@@ -1181,64 +1127,42 @@ def _advance_native_batch(
     active = scratch.get("active", total_flows, np.uint8)
     rates = scratch.get("rates", total_flows, np.float64)
     finished = scratch.get("finished", total_flows, np.int32)
-
-    # Second pass: stack each block into the scratch slices, offsetting row
-    # and nnz indices into batch coordinates.
-    flow_ptr[0] = 0
     group_left = scratch.get("group_left", max(group_total, 1), np.int32)
-    group_fill = 0
-    block_flow_lists: List[List[Flow]] = []
-    flow_base = row_base = nnz_base = 0
-    for network, flows, num_flows, nnz in blocks:
-        flow_slice = slice(flow_base, flow_base + num_flows)
+
+    # Second pass: stack each block into the scratch slices, offsetting row,
+    # nnz and group indices into batch coordinates.
+    flow_ptr[0] = 0
+    flow_base = row_base = nnz_base = group_base = 0
+    for request in requests:
+        network = request.network
+        n, nnz, num_groups = network._n, network._nnz, len(network._grp_keys)
+        flows = slice(flow_base, flow_base + n)
         np.add(
-            network._ptr_buf[1 : num_flows + 1],
-            nnz_base,
-            out=flow_ptr[flow_base + 1 : flow_base + 1 + num_flows],
+            network._ptr[1 : n + 1], nnz_base,
+            out=flow_ptr[flow_base + 1 : flow_base + 1 + n],
         )
-        np.add(
-            network._rows_buf[:nnz],
-            row_base,
-            out=flow_rows[nnz_base : nnz_base + nnz],
-        )
-        caps[row_base : row_base + len(network._link_ids)] = network._cap_arr
-        if network._rem_synced:
-            # The previous batch call wrote this block's post-advance
-            # remaining bytes back into the network's buffer and nothing
-            # mutated flows since: an array copy replaces the per-flow
-            # attribute gather.
-            remaining[flow_slice] = network._rem_buf[:num_flows]
-        else:
-            remaining[flow_slice] = np.fromiter(
-                (flow.remaining_bytes for flow in flows), np.float64, num_flows
-            )
-        threshold[flow_slice] = network._thr_buf[:num_flows]
-        active[flow_slice] = network._active_buf[:num_flows]
-        grp_buf = network._grp_buf
-        group_view = group_of[flow_slice]
-        group_view[:] = grp_buf
-        if network._grp_keys:
-            slot_base = group_fill
-            network_left = network._group_left
-            # A key can be gone from _group_left once its group drained; its
-            # flows are all inactive then, so the kernel never consults the
-            # placeholder count.
-            for key in network._grp_keys:
-                group_left[group_fill] = network_left.get(key, 0)
-                group_fill += 1
-            if slot_base:
-                np.add(group_view, slot_base, out=group_view, where=grp_buf >= 0)
-        block_flow_lists.append(flows)
-        flow_base += num_flows
+        np.add(network._rows[:nnz], row_base, out=flow_rows[nnz_base : nnz_base + nnz])
+        caps[row_base : row_base + len(network._link_ids)] = network._cap
+        remaining[flows] = network._rem[:n]
+        threshold[flows] = network._thr[:n]
+        active[flows] = network._active[:n]
+        groups = group_of[flows]
+        np.add(network._grp[:n], group_base, out=groups)
+        if network._ungrouped:
+            groups[network._grp[:n] < 0] = -1
+        group_left[group_base : group_base + num_groups] = network._grp_left[:num_groups]
+        flow_base += n
         row_base += len(network._link_ids)
         nnz_base += nnz
+        group_base += num_groups
     now_arr = scratch.get("now", num_blocks, np.float64)
     budget = scratch.get("budget", num_blocks, np.float64)
     max_steps = scratch.get("max_steps", num_blocks, np.int32)
-    for index, request in enumerate(requests):
-        now_arr[index] = request.now
-        budget[index] = np.inf if request.budget is None else request.budget
-        max_steps[index] = request.max_steps
+    now_arr[:] = [request.now for request in requests]
+    budget[:] = [
+        np.inf if request.budget is None else request.budget for request in requests
+    ]
+    max_steps[:] = [request.max_steps for request in requests]
     # Output buffers the kernel accumulates into (vs. assigns) start zeroed.
     rates[:] = 0.0
     finished_count = scratch.get("finished_count", num_blocks, np.int32)
@@ -1293,77 +1217,59 @@ def _advance_native_batch(
         return None
 
     outcomes: List[FlowAdvanceOutcome] = []
-    for index in range(num_blocks):
-        network = requests[index].network
-        flows = block_flow_lists[index]
-        base = int(block_flows[index])
-        count = len(flows)
-        # Surviving flows' attributes are deferred: the post-advance rates
-        # and remaining bytes land in the network's mirror buffers and are
-        # written back lazily by _sync_flow_attrs() on the next Python-path
-        # access (never, for the common fully-drained folded block).
-        if len(network._rem_buf) < count:
-            network._rem_buf = np.empty(max(count, 64), dtype=np.float64)
-        if len(network._rate_buf) < count:
-            network._rate_buf = np.empty(max(count, 64), dtype=np.float64)
-        network._rem_buf[:count] = remaining[base : base + count]
-        network._rate_buf[:count] = rates[base : base + count]
-        network._rem_synced = True
-        network._attrs_synced = False
-        done: List[Flow] = []
-        retired = int(finished_count[index])
+    group_base = 0
+    for index, (request, base, retired, code, now, first_unconsumed, step_count,
+                rounds, replayed) in enumerate(zip(
+            requests,
+            block_flows[:num_blocks].tolist(),
+            finished_count.tolist(),
+            stop_reason.tolist(),
+            now_arr.tolist(),
+            next_flow.tolist(),
+            steps.tolist(),
+            solve_rounds.tolist(),
+            rounds_replayed.tolist(),
+    )):
+        network = request.network
+        n = network._n
+        num_groups = len(network._grp_keys)
+        flows = slice(base, base + n)
+        network._rem[:n] = remaining[flows]
+        network._rate[:n] = rates[flows]
+        reason = _STOP_REASONS[code]
+        slots = None
         if retired:
-            # Retired flows keep their CSR positions (masked inactive) so
-            # the block's layout survives into the next round without a
-            # rebuild; _path_rows upkeep is what _forget_flow would do (the
-            # native solver never maintains the row->flows lists).
-            network._active_buf[:count] = active[base : base + count]
-            network._csr_inactive += retired
-            network_flows = network._flows
-            path_rows = network._path_rows
-            flow_group = network._flow_group
-            group_left_map = network._group_left
-            rate_list = rates[base : base + count].tolist()
-            rem_list = remaining[base : base + count].tolist()
-            for fi in finished[base : base + retired].tolist():
-                slot_index = fi - base
-                flow = flows[slot_index]
-                # Retired flows leave _csr_flows' active set, so the lazy
-                # sync will never visit them: stamp their final attributes
-                # here (same values the eager writeback used to assign).
-                flow.rate = rate_list[slot_index]
-                flow.remaining_bytes = rem_list[slot_index]
-                done.append(flow)
-                flow_id = flow.flow_id
-                del network_flows[flow_id]
-                path_rows.pop(flow_id)
-                # Inline _release_group: this loop retires every flow of the
-                # run on the folded path.
-                group = flow_group.pop(flow_id, None)
-                if group is not None:
-                    left = group_left_map[group] - 1
-                    if left:
-                        group_left_map[group] = left
-                    else:
-                        del group_left_map[group]
-                        network._drained_groups.append(group)
-        reason = _STOP_REASONS[int(stop_reason[index])]
-        if reason == "stall" and not network._flows:
+            # Retired flows keep their slots, masked inactive, so the block's
+            # layout survives into the next call without a rebuild.
+            network._active[:n] = active[flows]
+            network._live -= retired
+            network._live_ids = None
+            slots = finished[base : base + retired] - base
+            left_after = group_left[group_base : group_base + num_groups]
+            if reason == "group":
+                network._settle_groups(left_after, slots)
+            else:
+                # The kernel stops at the first step that drains a group,
+                # so no group drained in this call.
+                network._grp_left[:num_groups] = left_after
+        group_base += num_groups
+        if reason == "stall" and not network._live:
             reason = "idle"
         # After a budget/stall stop the last solve covered exactly the
         # surviving flow set, so its rates can be reused (e.g. by the timed
-        # branch's advance()); after a group/steps stop the flow set changed.
+        # branch's progress()); after a group/steps stop the flow set changed.
         network._rates_dirty = reason not in ("budget", "stall")
-        first_unconsumed = float(next_flow[index])
         outcomes.append(
             FlowAdvanceOutcome(
-                now=float(now_arr[index]),
-                finished=done,
+                now=now,
                 next_flow=None if first_unconsumed == np.inf else first_unconsumed,
-                steps=int(steps[index]),
+                steps=step_count,
                 reason=reason,
-                solve_rounds=int(solve_rounds[index]),
-                rounds_replayed=int(rounds_replayed[index]),
+                solve_rounds=rounds,
+                rounds_replayed=replayed,
+                network=network,
+                finished_slots=slots,
+                epoch=network._epoch,
             )
         )
     return outcomes

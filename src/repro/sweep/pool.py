@@ -119,6 +119,14 @@ class PersistentWorkerPool:
             return
         if self._closed:
             raise RuntimeError("pool has been closed")
+        # Start the parent's shared-memory resource tracker before forking:
+        # workers then inherit it, so their BoardView attachments register
+        # with the tracker that the parent's unlink() unregisters from.  A
+        # worker forked first would start a private tracker, which reports
+        # every attached segment as leaked when the worker exits.
+        from multiprocessing import resource_tracker
+
+        resource_tracker.ensure_running()
         self._results = self._ctx.Queue()
         for worker_id in range(self.workers):
             self._spawn(worker_id)
@@ -295,11 +303,12 @@ class BoardView:
         from multiprocessing import shared_memory
 
         # On Python < 3.13 attaching also registers the segment with the
-        # resource tracker.  Workers are children of the runner process and
-        # share its tracker, where registration is an idempotent set-add —
-        # the parent's unlink() performs the single matching unregister.
-        # (Unregistering here instead would strip the *parent's* entry from
-        # the shared tracker and make that unlink raise inside it.)
+        # resource tracker.  PersistentWorkerPool.start() starts the parent's
+        # tracker before forking, so workers share it and registration is an
+        # idempotent set-add — the parent's unlink() performs the single
+        # matching unregister.  (Unregistering here instead would strip the
+        # *parent's* entry from the shared tracker and make that unlink raise
+        # inside it.)
         self._shm = shared_memory.SharedMemory(name=name)
         self.array = np.ndarray(
             (num_slots, num_metrics), dtype=np.float64, buffer=self._shm.buf

@@ -245,12 +245,12 @@ class StructuralTemplate:
 
     # ------------------------------------------------------------- admissions
     def admission(self, key: tuple):
-        """A staged :class:`~repro.sim.dag.AdmissionPlan` (DESIGN.md §10).
+        """A staged :class:`~repro.sim.dag.AdmissionPlan` (DESIGN.md §10-11).
 
         The key carries every stamped axis the plan depends on — task id,
         seed, micro-batch size, both collective efficiencies and the set of
         circuit-holding pairs — so two configs share a plan exactly when the
-        executor's from-scratch admission loop would produce the same flows.
+        executor would stage the same flows from the task's specs.
         In-memory only: plans rebuild in microseconds, so persisting them
         would bloat the store for no win.
         """
@@ -469,8 +469,9 @@ register_cache(
         "circuit_pairs",
     ),
     cap=_ADMISSION_LIMIT,
-    doc="Staged flow-admission plans (pre-filtered flow tuples with resolved "
-    "route keys and flow ids) stamped into COMM tasks at DAG-build time.",
+    doc="Staged flow-admission plans (per-flow size, threshold and route "
+    "index arrays over distinct route keys) stamped into COMM tasks at "
+    "DAG-build time.",
     clear=_admissions_clear,
     size=_admissions_size,
 )

@@ -165,6 +165,48 @@ class TestEventAccounting:
         assert result.rounds_replayed == 0
 
 
+class TestErrorContext:
+    """Deadlock and event-budget errors say where the run stood: simulated
+    time, active flow count and the first unfinished tasks."""
+
+    @staticmethod
+    def _dark_path_executor():
+        region = make_region()
+        graph = TaskGraph()
+        graph.add_compute("warmup", 0.25)
+        graph.add_comm("xfer", [FlowSpec(0, 1, 1e9), FlowSpec(0, 1, 2e9)],
+                       deps=["warmup"])
+        graph.add_compute("after", 0.1, deps=["xfer"])
+        graph.add_compute("last", 0.1, deps=["after"])
+        graph.add_compute("final", 0.1, deps=["last"])
+
+        def darken() -> None:
+            region.set_capacity("link01", 0.0)
+
+        graph.task("warmup").on_complete = darken
+        return Executor(graph, region)
+
+    @pytest.mark.parametrize("drive", ["run", "run_folded"])
+    def test_deadlock_names_time_flows_and_tasks(self, drive):
+        with pytest.raises(RuntimeError) as info:
+            getattr(self._dark_path_executor(), drive)()
+        message = str(info.value)
+        assert "deadlock" in message
+        assert "t=0.25 s" in message
+        assert "2 active flows" in message
+        assert "unfinished tasks: xfer, after, last, ... (4 in all)" in message
+
+    @pytest.mark.parametrize("drive", ["run", "run_folded"])
+    def test_event_budget_names_time_flows_and_tasks(self, drive):
+        executor = TestEventAccounting._build()
+        with pytest.raises(RuntimeError) as info:
+            getattr(executor, drive)(max_events=2)
+        message = str(info.value)
+        assert "maximum event budget (2)" in message
+        assert "t=" in message and "active flows" in message
+        assert "unfinished tasks: xfer" in message
+
+
 class TestResultBookkeeping:
     def test_all_tasks_have_start_and_finish(self):
         graph = TaskGraph()

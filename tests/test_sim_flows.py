@@ -542,3 +542,163 @@ class TestCompileRace:
 
         assert os.path.exists(outcomes[0])
         assert len(self._SlowFakeFFI.builds) == 1  # loser adopted, not rebuilt
+
+
+class TestFlowAdapter:
+    """The Flow objects the network hands out are views onto its arrays.
+
+    After interleaved admissions (array batches with generated ids and Flow
+    objects with explicit ids), retirements and a capacity change, the ids,
+    paths and attributes seen through ``flows``, ``advance()`` and
+    ``FlowAdvanceOutcome.finished`` must agree with the scalar oracle's.
+    """
+
+    @staticmethod
+    def _region():
+        region = RegionNetwork(servers=[0, 1])
+        for link_id, capacity in (("a", 8.0), ("b", 8.0), ("c", 4.0), ("d", 16.0)):
+            region.add_link(link_id, capacity_gbps=capacity)
+        return region
+
+    @staticmethod
+    def _batch(net, sizes, paths):
+        import numpy as np
+
+        from repro.sim.flows import FlowBatch
+
+        sizes = np.array(sizes, dtype=np.float64)
+        return FlowBatch(
+            sizes=sizes,
+            thresholds=np.maximum(1e-3, 1e-9 * sizes),
+            route_of=np.array([0, 1, 0], dtype=np.int32),
+            rows=[net.path_rows(path) for path in paths],
+        )
+
+    @staticmethod
+    def _snapshot(flows):
+        return [(f.flow_id, f.size_bytes, f.path, f.remaining_bytes, f.rate)
+                for f in flows]
+
+    @staticmethod
+    def _assert_same(got, expected):
+        assert [entry[:3] for entry in got] == [entry[:3] for entry in expected]
+        for entry, reference in zip(got, expected):
+            assert entry[3] == pytest.approx(reference[3], rel=1e-9, abs=1e-6)
+            assert entry[4] == pytest.approx(reference[4], rel=1e-9)
+
+    def _drive(self, solver):
+        from repro.sim.flows import FlowAdvanceRequest, service_advance_requests
+
+        region = self._region()
+        net = FluidNetwork(region, solver=solver)
+        seen = []
+        # Paths are shared lists, as the executor shares one per route.
+        ac, bd = ["a", "c"], ["b", "d"]
+        net.add_flows(self._batch(net, [4e8, 6e8, 9e8], [ac, bd]), group="t1")
+        net.add_flows([Flow("x", 5e8, ["a"]), Flow("y", 2e9, ["d"])], group="t2")
+        seen.append(self._snapshot(net.flows.values()))
+        seen.append(self._snapshot(net.advance(net.time_to_next_completion())))
+        net.compute_rates()
+        seen.append(self._snapshot(net.flows.values()))
+        # A reconfiguration: capacities change under live flows.
+        region.set_capacity("c", 16.0)
+        net.mark_topology_changed()
+        net.add_flows(self._batch(net, [1e8, 3e8, 2e8], [bd, ac]), group="t3")
+        outcome = service_advance_requests(
+            [FlowAdvanceRequest(net, now=0.0, budget=None)]
+        )[0]
+        seen.append((outcome.reason, outcome.steps,
+                     self._snapshot(outcome.finished)))
+        seen.append(net.consume_drained_groups())
+        seen.append(self._snapshot(net.flows.values()))
+        return seen
+
+    @pytest.mark.parametrize("solver", ["vectorized", "native"])
+    def test_views_agree_with_scalar_oracle(self, solver):
+        reference = self._drive("scalar")
+        got = self._drive(solver)
+        assert reference[0][0][0] == "t1/f0"  # ids made on demand
+        assert [entry[0] for entry in reference[0]] == [
+            "t1/f0", "t1/f1", "t1/f2", "x", "y",
+        ]
+        assert reference[0][1][2] == ["b", "d"]  # route_of picks the path
+        for index in (0, 1, 2, 5):
+            self._assert_same(got[index], reference[index])
+        assert got[3][:2] == reference[3][:2]
+        self._assert_same(got[3][2], reference[3][2])
+        assert got[4] == reference[4] and got[4]  # a group drained
+
+    def test_duplicate_ids_rejected_across_batches(self):
+        net = FluidNetwork(self._region())
+        net.add_flows(self._batch(net, [1e8, 2e8, 3e8], [["a"], ["b"]]), group="t")
+        with pytest.raises(ValueError, match="duplicate flow id 't/f1'"):
+            net.add_flow(Flow("t/f1", 1e8, ["c"]))
+
+    def test_stale_finished_views_fail_loudly(self):
+        net = FluidNetwork(self._region())
+        net.add_flow(Flow("f", 1e8, ["a"]), group="g")
+        outcome = net.advance_through(0.0)
+        assert [flow.flow_id for flow in outcome.finished] == ["f"]
+        # The empty network restarts its slots on the next admission.
+        net.add_flow(Flow("h", 1e8, ["b"]), group="g2")
+        with pytest.raises(RuntimeError, match="stale"):
+            outcome.finished
+
+
+class TestArrayRetirement:
+    """Retirement by mask and group counts, checked against the scalar
+    oracle's per-event path: simultaneous group drains are reported in the
+    order each group's last flow retired, and compaction (slots dropped
+    once retired ones dominate) keeps flow order and group counts."""
+
+    @staticmethod
+    def _network(solver, num_links):
+        region = RegionNetwork(servers=[0])
+        for index in range(num_links):
+            region.add_link(f"l{index}", capacity_gbps=8.0)  # 1e9 B/s
+        return FluidNetwork(region, solver=solver)
+
+    @pytest.mark.parametrize("solver", ["scalar", "vectorized", "native"])
+    def test_simultaneous_drains_in_last_flow_order(self, solver):
+        net = self._network(solver, 4)
+        # Group A holds slots 0 and 3, group B slots 1 and 2; all four flows
+        # finish in the same event, so B (last flow in slot 2) drains first.
+        net.add_flow(Flow("a0", 1e8, ["l0"]), group="A")
+        net.add_flows([Flow("b0", 1e8, ["l1"]), Flow("b1", 1e8, ["l2"])], group="B")
+        net.add_flow(Flow("a1", 1e8, ["l3"]), group="A")
+        outcome = net.advance_through(0.0)
+        assert (outcome.reason, outcome.steps) == ("group", 1)
+        assert [f.flow_id for f in outcome.finished] == ["a0", "b0", "b1", "a1"]
+        assert net.consume_drained_groups() == ["B", "A"]
+
+    def _trace(self, solver):
+        net = self._network(solver, 11)
+        net.add_flow(Flow("tiny", 1e6, ["l0"]), group="G0")
+        net.add_flows(
+            [Flow(f"g1.{i}", (i + 1) * 1e7, [f"l{i + 1}"]) for i in range(8)],
+            group="G1",
+        )
+        net.add_flows([Flow("big0", 5e8, ["l9"]), Flow("big1", 6e8, ["l10"])],
+                      group="G2")
+        trace = []
+        now = 0.0
+        for max_steps in (5_000_000, 6, 5_000_000, 5_000_000):
+            outcome = net.advance_through(now, max_steps=max_steps)
+            now = outcome.now
+            trace.append((outcome.now, [f.flow_id for f in outcome.finished],
+                          outcome.reason, net.consume_drained_groups()))
+        return net, trace
+
+    @pytest.mark.parametrize("solver", ["vectorized", "native"])
+    def test_compaction_keeps_order_and_groups(self, solver):
+        _, reference = self._trace("scalar")
+        net, got = self._trace(solver)
+        assert [entry[2] for entry in reference] == ["group", "steps", "group", "group"]
+        assert [entry[3] for entry in reference] == [["G0"], [], ["G1"], ["G2"]]
+        for (now, done, reason, drained), expected in zip(got, reference):
+            assert now == pytest.approx(expected[0], rel=1e-12)
+            assert (done, reason, drained) == expected[1:]
+        if net.solver == "native":
+            # The third call compacted the 11 slots down to the 4 live
+            # flows, dropping the drained G0 group slot.
+            assert net._epoch == 2 and net._n == 4 and net._live == 0

@@ -154,6 +154,32 @@ class TestMetricBoard:
         assert attach_board(None, 2, 2) is None
         assert attach_board("nonexistent-board-name", 2, 2) is None
 
+    @needs_fork
+    def test_pool_sweep_leaks_no_shared_memory(self):
+        """Workers share the parent's resource tracker, so a warmed-up
+        2-worker folded sweep exits without the tracker reporting leaked
+        shared-memory segments (each worker used to start its own)."""
+        import subprocess
+
+        script = (
+            "from repro.sweep import SweepSpec\n"
+            "from repro.sweep.runner import FoldedSweepRunner\n"
+            "spec = SweepSpec(fabrics=['MixNet'], models=['Mixtral-8x7B'],\n"
+            "                 failures=['none', 'nic:1'], seeds=[0, 1],\n"
+            "                 num_servers=16)\n"
+            "with FoldedSweepRunner(spec, workers=2) as runner:\n"
+            "    runner.warm_up()\n"
+            "    assert len(runner.run()) == 4\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "leaked shared_memory" not in done.stderr
+
 
 class TestGroupSharding:
     def test_groups_never_split_and_assignment_is_deterministic(self):
