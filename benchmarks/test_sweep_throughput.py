@@ -1,17 +1,17 @@
-"""Sweep-engine micro-benchmark: configs/second, solver stack and folding.
+"""Sweep-engine micro-benchmark: configs/second, kernel vs oracle, folding.
 
 Runs an identical 16-configuration sweep (Mixtral-8x22B on Fat-tree and
 MixNet, two first-all-to-all policies, two link bandwidths, two traffic
-seeds — the Figure 12 hot path) three times: once with the seed's
-pure-Python scalar rate solver, once with the default solver stack (compiled
-kernel when a C compiler is present, incremental numpy water-filling
-otherwise), and once folded — every config advanced through one batched
-solve → next-completion → advance loop (DESIGN.md §6).  Timed passes repeat
-a few times and report the best (steady-state throughput, scheduler noise
-stripped).  It asserts all three produce identical iteration times (the
-folded pass bit-identically, on every repetition), can record the headline
-numbers in ``BENCH_sweep.json`` at the repo root, and enforces the speedup
-budgets the solver rewrite and the folding rewrite were sized for.
+seeds — the Figure 12 hot path) three times: once on the pure-Python scalar
+oracle (the kernel made unavailable, as on a host without a C compiler),
+once unfolded (``SweepRunner``: each config a one-block batch through the
+compiled kernel) and once folded — every config advanced through one
+batched solve → next-completion → advance loop (DESIGN.md §6).  Timed
+passes repeat a few times and report the best (steady-state throughput,
+scheduler noise stripped).  It asserts all three produce identical
+iteration times (the folded pass bit-identically, on every repetition), can
+record the headline numbers in ``BENCH_sweep.json`` at the repo root, and
+enforces the speedup budgets the kernel and the folding were sized for.
 ``--quick`` (CI smoke mode) runs each pass once and keeps every equivalence
 assertion but skips the speedup floors, which need a quiet machine.
 ``BENCH_sweep.json`` is rewritten only with ``--record-bench``
@@ -27,7 +27,7 @@ from pathlib import Path
 
 from conftest import print_series, record_bench
 
-from repro.sim.flows import resolve_solver
+from repro.sim._native import native_available
 from repro.sweep import FoldedSweepRunner, SweepRunner, SweepSpec
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_sweep.json"
@@ -65,14 +65,14 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_sweep(solver, rounds=1):
-    """Best-of-``rounds`` timing: each pass re-runs the full sweep and the
-    minimum is reported, the standard way to strip scheduler noise from a
-    steady-state throughput measurement."""
+def run_sweep(rounds=1):
+    """Best-of-``rounds`` unfolded timing: each pass re-runs the full sweep
+    and the minimum is reported, the standard way to strip scheduler noise
+    from a steady-state throughput measurement."""
     best, results = float("inf"), None
     for _ in range(rounds):
         start = time.perf_counter()
-        results = SweepRunner(SPEC, workers=0, solver=solver).run()
+        results = SweepRunner(SPEC, workers=0).run()
         best = min(best, time.perf_counter() - start)
     return results, best
 
@@ -153,20 +153,21 @@ def run_phase_breakdown(reference, rounds=1):
     return cold, warm
 
 
-def test_sweep_throughput(run_once, request):
+def test_sweep_throughput(run_once, request, without_kernel):
     quick = request.config.getoption("--quick")
 
     def build():
-        # Warm one config per seed and solver first so one-time costs
-        # (synthetic trace memoization covers one seed per entry, kernel
-        # load) don't bias any timed pass.
+        # Warm one config per seed on the oracle and the kernel first so
+        # one-time costs (synthetic trace memoization covers one seed per
+        # entry, kernel load) don't bias any timed pass.
         from repro.sweep import run_config
 
         configs = SPEC.expand()
         for seed in SPEC.seeds:
             warm_config = next(c for c in configs if c.seed == seed)
-            run_config(warm_config, solver="scalar")
-            run_config(warm_config, solver=None)
+            with without_kernel():
+                run_config(warm_config)
+            run_config(warm_config)
         parallel_configs = PARALLEL_SPEC.expand()
         for seed in PARALLEL_SPEC.seeds:  # memoized trace, one per seed
             run_config(next(c for c in parallel_configs if c.seed == seed))
@@ -178,8 +179,9 @@ def test_sweep_throughput(run_once, request):
         gc.collect()
         gc.disable()
         try:
-            scalar_results, scalar_s = run_sweep("scalar", rounds=rounds[0])
-            fast_results, fast_s = run_sweep(None, rounds=rounds[1])  # default
+            with without_kernel():
+                scalar_results, scalar_s = run_sweep(rounds=rounds[0])
+            fast_results, fast_s = run_sweep(rounds=rounds[1])
             folded_results, folded_s = run_sweep_folded(
                 fast_results, rounds=rounds[2]
             )
@@ -213,7 +215,7 @@ def test_sweep_throughput(run_once, request):
     num_configs = len(scalar_results)
     assert num_configs == 16
 
-    # Both solver stacks are exact max-min solvers: identical results.
+    # Kernel and oracle are exact max-min solvers: results agree to 1e-9.
     for seed_result, fast_result in zip(scalar_results, fast_results):
         assert seed_result.config_hash == fast_result.config_hash
         assert abs(seed_result.iteration_time_s - fast_result.iteration_time_s) <= (
@@ -221,16 +223,19 @@ def test_sweep_throughput(run_once, request):
         )
 
     # Folding is a pure execution transformation: bit-identical results on
-    # every config, not merely close ones.
+    # every config (kernel counters included), not merely close ones.
     for fast_result, folded_result in zip(fast_results, folded_results):
         assert fast_result.config_hash == folded_result.config_hash
         assert fast_result.iteration_time_s == folded_result.iteration_time_s
         assert fast_result.stage_time_s == folded_result.stage_time_s
         assert fast_result.comm_bytes == folded_result.comm_bytes
+        assert fast_result.events == folded_result.events
+        assert fast_result.solve_rounds == folded_result.solve_rounds
+        assert fast_result.rounds_replayed == folded_result.rounds_replayed
 
     speedup = scalar_s / fast_s
     folded_speedup = fast_s / folded_s
-    default_solver = resolve_solver(None)
+    kernel = native_available()
     num_parallel = len(PARALLEL_SPEC.expand())
     # configs/s vs worker count on the 32-config grid, serial folded = the
     # baseline.  host_cpus is recorded because the scaling is meaningless
@@ -267,28 +272,28 @@ def test_sweep_throughput(run_once, request):
     phase_leg["warm_setup_speedup"] = round(warm_setup_speedup, 2)
     record = {
         "description": "16-config sweep (Mixtral-8x22B x {Fat-tree, MixNet} x "
-                       "2 policies x 2 bandwidths x 2 seeds), seed scalar "
-                       "solver vs default solver stack vs folded execution; "
+                       "2 policies x 2 bandwidths x 2 seeds), scalar oracle "
+                       "vs unfolded kernel runs vs folded execution; "
                        "parallel_folded shards the same grid at 4 seeds (32 "
                        "configs) across a persistent warm worker pool; phases "
                        "is the per-config wall-time split of the folded pass "
                        "with every cache tier cleared per round (cold) vs "
                        "fully warm (the structural-template amortisation)",
         "num_configs": num_configs,
-        "seed_solver_s": round(scalar_s, 3),
-        "seed_solver_configs_per_s": round(num_configs / scalar_s, 3),
-        "default_solver": default_solver,
-        "default_solver_s": round(fast_s, 3),
-        "default_solver_configs_per_s": round(num_configs / fast_s, 3),
+        "oracle_s": round(scalar_s, 3),
+        "oracle_configs_per_s": round(num_configs / scalar_s, 3),
+        "kernel": kernel,
+        "unfolded_s": round(fast_s, 3),
+        "unfolded_configs_per_s": round(num_configs / fast_s, 3),
         "speedup": round(speedup, 2),
         "folded_s": round(folded_s, 3),
         "folded_configs_per_s": round(num_configs / folded_s, 3),
-        "folded_speedup_vs_default": round(folded_speedup, 2),
-        "folded_speedup_vs_seed": round(scalar_s / folded_s, 2),
+        "folded_speedup_vs_unfolded": round(folded_speedup, 2),
+        "folded_speedup_vs_oracle": round(scalar_s / folded_s, 2),
         # Water-filling work counters summed over the folded grid (PR 10):
         # solve_rounds = argmin rounds the kernel executed, rounds_replayed
         # = rounds inherited from the freeze-level record instead of
-        # re-solved — the direct evidence for the incremental mode's claim.
+        # re-solved — the direct evidence for the incremental replay's claim.
         "folded_counters": {
             "events": sum(r.events for r in folded_results),
             "solve_rounds": sum(r.solve_rounds for r in folded_results),
@@ -302,8 +307,8 @@ def test_sweep_throughput(run_once, request):
 
     print_series("SweepBench", [
         ("runner", "total_s", "configs_per_s"),
-        ("scalar (seed)", round(scalar_s, 2), round(num_configs / scalar_s, 2)),
-        (default_solver, round(fast_s, 2), round(num_configs / fast_s, 2)),
+        ("scalar oracle", round(scalar_s, 2), round(num_configs / scalar_s, 2)),
+        ("unfolded", round(fast_s, 2), round(num_configs / fast_s, 2)),
         ("folded", round(folded_s, 2), round(num_configs / folded_s, 2)),
         ("folded x32 grid", round(serial32_s, 2),
          round(num_parallel / serial32_s, 2)),
@@ -312,15 +317,15 @@ def test_sweep_throughput(run_once, request):
          round(num_parallel / elapsed, 2))
         for workers, elapsed in sharded.items()
     ] + [
-        ("solver speedup", round(speedup, 2), ""),
+        ("kernel speedup", round(speedup, 2), ""),
         ("folding speedup", round(folded_speedup, 2), ""),
         ("warm setup speedup", round(warm_setup_speedup, 2), ""),
     ])
 
-    if default_solver == "native":
+    if kernel:
         # Incremental water-filling must actually engage on the folded grid
-        # (quick mode included): with the default flags the kernel inherits
-        # rounds from the freeze-level record on every multi-event block.
+        # (quick mode included): the kernel inherits rounds from the
+        # freeze-level record on every multi-event block.
         assert sum(r.rounds_replayed for r in folded_results) > 0, (
             "incremental water-filling never replayed a round on the "
             "folded grid"
@@ -329,18 +334,21 @@ def test_sweep_throughput(run_once, request):
     if quick:
         return
 
-    if default_solver == "native":
-        # Typical measured speedup is ~4x; 3.0 is the budget the solver
-        # rewrite was sized for, eased to 2.7 because shared-host CPU
-        # contention moves the scalar and native passes disproportionately.
-        assert speedup >= 2.7, f"sweep speedup regressed to {speedup:.2f}x"
+    if kernel:
+        # The kernel against the scalar oracle, both unfolded: measured
+        # ~24x; 3.0 is the budget the kernel was sized for, eased to 2.7
+        # because shared-host CPU contention moves the two legs
+        # disproportionately.
+        assert speedup >= 2.7, f"kernel speedup regressed to {speedup:.2f}x"
         # Folding batches every config's flow events through one
-        # waterfill_batch call per round; measured gain is ~3.5-4x on top of
-        # the default stack (≈70 configs/s total on a quiet machine).  2.5x
-        # is the regression floor, and the absolute floor guards end-to-end
-        # configs/s (the folding rewrite targeted ≥ 5x the 13.7 configs/s
-        # the default stack recorded) with margin for slower CI machines.
-        assert folded_speedup >= 2.5, (
+        # waterfill_batch call per round instead of one call per config.
+        # Against the unfolded leg (the same kernel, fold width 1) the gain
+        # measured 1.09-2.03x over 17 runs on a loaded 2-CPU host (median
+        # ~1.5x), so the floor only asserts that folding never loses to
+        # fold width 1.  The absolute floors guard end-to-end configs/s (the
+        # folding rewrite targeted >= 5x the 13.7 configs/s of the former
+        # per-event loop) with margin for slower CI machines.
+        assert folded_speedup >= 1.0, (
             f"folding speedup regressed to {folded_speedup:.2f}x"
         )
         assert num_configs / folded_s >= 25.0, (
@@ -376,10 +384,9 @@ def test_sweep_throughput(run_once, request):
                 f"serial folded"
             )
     else:
-        # No C compiler in this environment: the incremental numpy solver
-        # still has to beat the seed clearly, and folding must at least not
-        # cost anything (it folds through a per-network Python loop).
-        assert speedup >= 1.2, f"sweep speedup regressed to {speedup:.2f}x"
+        # No C compiler in this environment: every leg runs the scalar
+        # oracle, so there is no kernel speedup to check; folding must at
+        # least not cost anything (it folds through a per-network loop).
         assert folded_speedup >= 0.9, (
             f"folded execution slower than unfolded: {folded_speedup:.2f}x"
         )

@@ -172,11 +172,6 @@ class RuntimeOptions:
         ocs_collective_efficiency: Effective fraction of line rate achieved on
             a dedicated optical circuit (a single point-to-point RDMA stream).
         seed: Seed for synthetic traffic when no trace record is supplied.
-        fluid_solver: Fluid-network rate solver (``"auto"``, ``"native"``,
-            ``"vectorized"`` or ``"scalar"``); ``None`` uses the process-wide
-            default (``"auto"`` — the compiled kernel when available).  All
-            are exact max–min solvers, so results are solver-independent —
-            the knob exists for differential testing and benchmarking.
         reconfig_engine: Algorithm 1 reconfiguration engine (``"auto"``,
             ``"vectorized"`` or ``"scalar"``); ``None`` uses the process-wide
             default (``"auto"`` — the heap-driven engine).  Both engines
@@ -193,18 +188,11 @@ class RuntimeOptions:
     eps_collective_efficiency: float = 0.6
     ocs_collective_efficiency: float = 0.8
     seed: int = 0
-    fluid_solver: Optional[str] = None
     reconfig_engine: Optional[str] = None
 
     def __post_init__(self) -> None:
         from repro.core.reconfigure import resolve_engine
-        from repro.sim.flows import SOLVERS
 
-        if self.fluid_solver is not None and self.fluid_solver not in SOLVERS:
-            raise ValueError(
-                f"fluid_solver must be None or one of {SOLVERS}, "
-                f"got {self.fluid_solver!r}"
-            )
         if self.reconfig_engine is not None:
             resolve_engine(self.reconfig_engine)  # validates the name
         if self.first_a2a_policy not in FIRST_A2A_POLICIES:
@@ -238,8 +226,7 @@ class IterationResult:
     #: Executor event-loop observability (DESIGN.md §10): events is the
     #: number of executor events consumed; solve_rounds / rounds_replayed
     #: count water-filling rounds executed vs. inherited from the
-    #: incremental kernel's freeze record (both 0 outside the folded
-    #: native-batch path).
+    #: kernel's freeze record (both 0 on the scalar oracle).
     events: int = 0
     solve_rounds: int = 0
     rounds_replayed: int = 0
@@ -534,9 +521,7 @@ class TrainingSimulator:
     ) -> IterationResult:
         """Simulate one training iteration and return its timing."""
         prepared = self._prepare_iteration(record, failure)
-        execution = Executor(
-            prepared.graph, prepared.region, solver=self.options.fluid_solver
-        ).run()
+        execution = Executor(prepared.graph, prepared.region).run()
         return self._compose_result(prepared, execution)
 
     def iter_simulation(
@@ -552,9 +537,7 @@ class TrainingSimulator:
         advance many simulations through one batched solve/advance loop.
         """
         prepared = self._prepare_iteration(record, failure)
-        executor = Executor(
-            prepared.graph, prepared.region, solver=self.options.fluid_solver
-        )
+        executor = Executor(prepared.graph, prepared.region)
         execution = yield from executor.iter_run()
         return self._compose_result(prepared, execution)
 

@@ -9,9 +9,13 @@ declared flag (rule ``ENV02``).  The point is operational determinism: a
 sweep result must be reproducible from (config, code revision, flag table) —
 an undeclared environment read is a hidden input no cache key accounts for.
 
-Flags configure *implementation choice only*; every implementation pair they
-select between is bit-identical by contract (differential-tested), so no
-flag value may change a simulation result.
+Two flags remain, and neither may change a simulation result:
+``REPRO_RECONFIG_ENGINE`` picks one of two Algorithm 1 engines that produce
+identical allocations (differential-tested), and ``REPRO_NATIVE_CFLAGS``
+adds build flags (e.g. sanitizers) to the fluid kernel without changing its
+source.  The fluid model itself has no switch: one compiled kernel, with the
+pure-Python scalar oracle as the fallback when the kernel cannot be built
+(DESIGN.md §2).
 """
 
 from __future__ import annotations
@@ -57,36 +61,11 @@ def declare_flag(name: str, default: str, doc: str, reference: str) -> EnvFlag:
 
 
 declare_flag(
-    "REPRO_FLUID_SOLVER",
-    "",
-    "Default fluid rate solver: auto, native, vectorized or scalar "
-    "(empty = auto). All are exact; the knob exists for differential "
-    "testing and benchmarking.",
-    "DESIGN.md §2",
-)
-declare_flag(
     "REPRO_RECONFIG_ENGINE",
     "",
     "Default Algorithm 1 reconfiguration engine: auto, vectorized or "
     "scalar (empty = auto). Both engines produce identical allocations.",
     "DESIGN.md §5",
-)
-declare_flag(
-    "REPRO_WATERFILL_WARM_START",
-    "1",
-    "Incremental warm-start mode of the native waterfill_batch kernel "
-    "(0 disables). Bit-identical either way; exists for differential "
-    "testing.",
-    "DESIGN.md §7",
-)
-declare_flag(
-    "REPRO_WATERFILL_INCREMENTAL",
-    "1",
-    "Incremental freeze-level replay mode of the native waterfill_batch "
-    "kernel (0 falls back to warm-start). Bit-identical by construction — "
-    "the replay re-applies the recorded freeze prefix in its original "
-    "order; differential-tested against the scalar and numpy solvers.",
-    "DESIGN.md §10",
 )
 declare_flag(
     "REPRO_NATIVE_CFLAGS",

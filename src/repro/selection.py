@@ -1,11 +1,10 @@
-"""Process-wide implementation selection shared by the solver-style knobs.
+"""Process-wide implementation selection for the Algorithm 1 engine.
 
-The fluid rate solver (:mod:`repro.sim.flows`) and the Algorithm 1
-reconfiguration engine (:mod:`repro.core.reconfigure`) expose the same
-pattern: a tuple of implementation names with an ``"auto"`` alias, a
-process-wide override, an environment-variable default, and a resolver that
-maps the requested name to a concrete implementation.  This module owns that
-machinery once so the two knobs (and any future one) cannot drift apart.
+The reconfiguration engine (:mod:`repro.core.reconfigure`) is chosen by a
+tuple of implementation names with an ``"auto"`` alias, a process-wide
+override, an environment-variable default, and a resolver that maps the
+requested name to a concrete implementation.  This module owns that
+machinery.
 """
 
 from __future__ import annotations

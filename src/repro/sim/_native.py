@@ -1,18 +1,18 @@
-"""Optional compiled water-filling kernel for the fluid solver.
+"""Compiled water-filling kernel for the fluid solver.
 
 The exact progressive water-filling of :mod:`repro.sim.flows` is a tight
 scalar loop (bottleneck scan + per-flow freeze bookkeeping) that Python
 executes ~100x slower than C.  When a C compiler and ``cffi`` are present,
-this module builds a small kernel implementing *exactly* the reference
+this module builds a small kernel implementing *exactly* the oracle's
 algorithm (same bottleneck tie-breaking, same clamping) and caches the shared
 object under the user's temp directory keyed by a hash of the C source, so
-the compiler runs at most once per source revision per machine.
+the compiler runs at most once per source revision per machine.  Its one
+entry point, ``waterfill_batch``, is the production flow path.
 
-Everything degrades gracefully: if ``cffi`` is missing, no compiler is
-available, or the build fails for any reason, :func:`native_lib` returns
-``None`` and the caller falls back to the pure-numpy solver.  No third-party
-package beyond ``cffi`` (already a CPython dependency chain staple) is
-required, and nothing is downloaded.
+If ``cffi`` is missing, no compiler is available, or the build fails for any
+reason, :func:`native_lib` warns once per process and returns ``None``; the
+simulator then runs on the pure-Python scalar oracle.  No third-party
+package beyond ``cffi`` is required, and nothing is downloaded.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import shlex
 import shutil
 import sys
 import tempfile
+import warnings
 from typing import List, Optional, Tuple
 
 from repro.flags import read_flag
@@ -35,7 +36,7 @@ C_SOURCE = r"""
 #include <stdlib.h>
 #include <string.h>
 
-/* Status codes shared by every entry point. */
+/* Status codes returned by waterfill_batch. */
 #define WF_OK          0
 #define WF_OOM         1
 
@@ -55,14 +56,14 @@ C_SOURCE = r"""
  * reference's registration-order scan), freezes every unfrozen flow
  * crossing it at that share, and retires the frozen flows' contributions.
  *
- * When `level_of` is non-NULL the freeze structure is recorded for the
- * incremental replay in waterfill_batch: level_of[f - f0] is the round a
- * flow froze in, freeze_order[] lists frozen flows in freeze order, and
- * round_log[k] is the freeze_order offset at the start of round k.
- * `round` is the starting round index (0 for a full solve, L for a replay)
- * and `fo_count` the matching freeze_order prefix length; unconstrained
- * (infinite-rate) flows get a level but no freeze_order entry because they
- * subtract nothing.  Returns the round index after the last executed round.
+ * The freeze structure is recorded for the incremental replay in
+ * waterfill_batch: level_of[f - f0] is the round a flow froze in,
+ * freeze_order[] lists frozen flows in freeze order, and round_log[k] is
+ * the freeze_order offset at the start of round k.  `round` is the starting
+ * round index (0 for a full solve, L for a replay) and `fo_count` the
+ * matching freeze_order prefix length; unconstrained (infinite-rate) flows
+ * get a level but no freeze_order entry because they subtract nothing.
+ * Returns the round index after the last executed round.
  */
 static int waterfill_rounds(int f0, int num_flows, int row0, int num_rows,
                             const int *flow_ptr, const int *flow_rows,
@@ -74,7 +75,7 @@ static int waterfill_rounds(int f0, int num_flows, int row0, int num_rows,
                             int *round_log, int fo_count)
 {
     while (remaining > 0) {
-        if (level_of) round_log[round] = fo_count;
+        round_log[round] = fo_count;
         int best = -1;
         double best_share = 0.0;
         for (int r = 0; r < num_rows; r++) {
@@ -86,10 +87,10 @@ static int waterfill_rounds(int f0, int num_flows, int row0, int num_rows,
             /* No remaining constraints: unconstrained flows get "infinite"
              * rate; in practice every path has at least one finite link. */
             for (int f = f0; f < f0 + num_flows; f++) {
-                if (active && !active[f]) continue;
+                if (!active[f]) continue;
                 if (!frozen[f - f0]) {
                     rates[f] = INFINITY;
-                    if (level_of) level_of[f - f0] = round;
+                    level_of[f - f0] = round;
                 }
             }
             break;
@@ -97,14 +98,12 @@ static int waterfill_rounds(int f0, int num_flows, int row0, int num_rows,
         double share = best_share > 0.0 ? best_share : 0.0;
         for (int k = row_ptr[best]; k < row_ptr[best + 1]; k++) {
             int f = row_flows[k];
-            if (active && !active[f]) continue;
+            if (!active[f]) continue;
             if (frozen[f - f0]) continue;
             frozen[f - f0] = 1;
             rates[f] = share;
-            if (level_of) {
-                level_of[f - f0] = round;
-                freeze_order[fo_count++] = f;
-            }
+            level_of[f - f0] = round;
+            freeze_order[fo_count++] = f;
             remaining--;
             for (int j = flow_ptr[f]; j < flow_ptr[f + 1]; j++) {
                 int r = flow_rows[j] - row0;
@@ -115,96 +114,14 @@ static int waterfill_rounds(int f0, int num_flows, int row0, int num_rows,
         }
         round++;
     }
-    if (level_of) round_log[round] = fo_count;
+    round_log[round] = fo_count;
     return round;
-}
-
-/* Exact max-min progressive water-filling over one block, honouring an
- * optional per-flow active mask (NULL means all active).
- *
- * Inputs are a CSR encoding of the flow->link incidence: flow f traverses
- * rows flow_rows[flow_ptr[f] .. flow_ptr[f+1]-1] (duplicates allowed and
- * counted, like the Python reference); row indices are relative to row0.
- * caps[r] is row r's capacity in bytes/s.  rates[f] receives flow f's
- * max-min fair rate.  All arrays are indexed with *global* flow ids in
- * [f0, f0+num_flows) so batch callers can pass shared buffers.
- *
- * Rebuilds the per-row bookkeeping (counts, buckets, residual) from the
- * active flow set on every call; the warm-start path in waterfill_batch
- * maintains the same bookkeeping incrementally instead.  Scratch buffers
- * are caller-provided so the batch loop allocates exactly once per call.
- * Returns the number of water-filling rounds executed.
- */
-static int solve_block(int f0, int num_flows, int row0, int num_rows,
-                       const int *flow_ptr, const int *flow_rows,
-                       const double *caps, const unsigned char *active,
-                       double *rates,
-                       double *residual, int *counts, int *row_ptr,
-                       int *row_flows, int *fill, unsigned char *frozen)
-{
-    int remaining = 0;
-    memset(counts, 0, (size_t)num_rows * sizeof(int));
-    memset(fill, 0, (size_t)num_rows * sizeof(int));
-    for (int f = f0; f < f0 + num_flows; f++) {
-        if (active && !active[f]) continue;
-        remaining++;
-        frozen[f - f0] = 0;
-        rates[f] = 0.0;
-        for (int k = flow_ptr[f]; k < flow_ptr[f + 1]; k++)
-            counts[flow_rows[k] - row0]++;
-    }
-    if (remaining == 0) return 0;
-    row_ptr[0] = 0;
-    for (int r = 0; r < num_rows; r++) row_ptr[r + 1] = row_ptr[r] + counts[r];
-    for (int f = f0; f < f0 + num_flows; f++) {
-        if (active && !active[f]) continue;
-        for (int k = flow_ptr[f]; k < flow_ptr[f + 1]; k++) {
-            int r = flow_rows[k] - row0;
-            row_flows[row_ptr[r] + fill[r]++] = f;
-        }
-    }
-    memcpy(residual, caps + row0, (size_t)num_rows * sizeof(double));
-    return waterfill_rounds(f0, num_flows, row0, num_rows, flow_ptr,
-                            flow_rows, active, rates, residual, counts,
-                            row_ptr, row_flows, frozen, remaining,
-                            0, NULL, NULL, NULL, 0);
-}
-
-/* One-shot solve (the per-event path) over the flows whose `active` entry
- * is set (NULL means all); inactive flows' rates are left untouched.
- * Returns WF_OOM when scratch memory cannot be allocated — the caller is
- * expected to fall back to its Python solver rather than trust the
- * (zeroed) rates. */
-int waterfill(int num_flows, int num_rows,
-              const int *flow_ptr, const int *flow_rows,
-              const double *caps, const unsigned char *active,
-              double *rates)
-{
-    if (num_flows <= 0) return WF_OK;
-    int nnz = flow_ptr[num_flows];
-    double *residual = (double *)malloc((size_t)num_rows * sizeof(double));
-    int *counts = (int *)malloc((size_t)num_rows * sizeof(int));
-    unsigned char *frozen = (unsigned char *)malloc((size_t)num_flows);
-    int *row_ptr = (int *)malloc(((size_t)num_rows + 1) * sizeof(int));
-    int *row_flows = (int *)malloc((size_t)(nnz > 0 ? nnz : 1) * sizeof(int));
-    int *fill = (int *)malloc((size_t)num_rows * sizeof(int));
-    int status = WF_OK;
-    if (!residual || !counts || !frozen || !row_ptr || !row_flows || !fill) {
-        for (int f = 0; f < num_flows; f++) rates[f] = 0.0;
-        status = WF_OOM;
-        goto done;
-    }
-    solve_block(0, num_flows, 0, num_rows, flow_ptr, flow_rows, caps, active,
-                rates, residual, counts, row_ptr, row_flows, fill, frozen);
-done:
-    free(residual); free(counts); free(frozen);
-    free(row_ptr); free(row_flows); free(fill);
-    return status;
 }
 
 /* Folded solve -> next-completion -> advance loop over a batch of
  * independent blocks (one block per simulated configuration), stacked as a
- * block-diagonal CSR.  For each block b the loop exactly mirrors the Python
+ * block-diagonal CSR.  This is the only entry point: a one-shot solve is a
+ * one-block call with max_steps = 0.  For each block b the loop mirrors the
  * executor's flow branch:
  *
  *   solve rates; find the earliest completion dt (first flow wins exact
@@ -215,41 +132,35 @@ done:
  *   retire them from their groups, and stop once any group drains (its
  *   owning comm task must complete in Python before anything else moves).
  *
- * Arrays are concatenations over blocks: flows of block b are
- * [block_flows[b], block_flows[b+1]), rows [block_rows[b], block_rows[b+1]).
- * group_of[f] indexes the shared group_left array directly (or -1 for
- * ungrouped flows).  finished[] receives global flow ids, segmented per
- * block at offsets block_flows[b]; finished_count[b], now[b], next_flow[b],
- * steps[b] and stop_reason[b] report each block's outcome.  Returns WF_OOM
- * (without touching any block) when scratch allocation fails.
+ * Flow f traverses rows flow_rows[flow_ptr[f] .. flow_ptr[f+1]-1]
+ * (duplicates allowed and counted, like the Python oracle); caps[r] is row
+ * r's capacity in bytes/s.  Arrays are concatenations over blocks: flows of
+ * block b are [block_flows[b], block_flows[b+1]), rows [block_rows[b],
+ * block_rows[b+1]).  group_of[f] indexes the shared group_left array
+ * directly (or -1 for ungrouped flows).  finished[] receives global flow
+ * ids, segmented per block at offsets block_flows[b]; finished_count[b],
+ * now[b], next_flow[b], steps[b] and stop_reason[b] report each block's
+ * outcome.  Returns WF_OOM (without touching any block) when scratch
+ * allocation fails.
  *
- * mode selects how much solver state is carried across the events of a
- * block (every mode produces bit-identical rates; only the per-event cost
- * changes):
- *
- *   mode 0 (cold): rebuild counts/buckets/residual from the active set
- *     before every solve (O(nnz) per event) and run all rounds.
- *   mode 1 (warm): build the buckets once over ALL of the block's flows
- *     (retiring one never reshapes them — the rounds skip inactive
- *     entries, preserving active order), count active traversals once,
- *     and maintain the counts incrementally as flows retire; each solve
- *     then costs an O(num_rows) memcpy plus all rounds.
- *   mode 2 (incremental): additionally record the freeze structure of
- *     each solve (level_of / freeze_order / round_log) and, on the next
- *     solve, replay rounds [0, L) from the record — L being the minimum
- *     freeze level among the flows retired since — by re-applying the
- *     recorded freezes in their original order (same shares, same row
- *     updates, same clamping: the exact FP operation sequence the full
- *     solve would execute), then run rounds from L normally.  Exactness:
- *     a retired flow was unfrozen during rounds < L, so removing it
- *     leaves those rounds' residuals untouched and only lowers counts on
- *     non-bottleneck rows, which raises their shares; each earlier
- *     bottleneck's share is unchanged and still first-minimal, so rounds
- *     [0, L) of the re-solve are identical by induction (DESIGN.md §10).
+ * Solver state is carried across the events of a block.  The buckets are
+ * built once over ALL of the block's flows (retiring one never reshapes
+ * them — the rounds skip inactive entries, preserving active order) and the
+ * active traversal counts are maintained as flows retire.  Each solve
+ * records its freeze structure (level_of / freeze_order / round_log); the
+ * next solve replays rounds [0, L) from the record — L being the minimum
+ * freeze level among the flows retired since — by re-applying the recorded
+ * freezes in their original order (same shares, same row updates, same
+ * clamping: the exact FP operation sequence a full solve would execute),
+ * then runs rounds from L normally.  Exactness: a retired flow was unfrozen
+ * during rounds < L, so removing it leaves those rounds' residuals untouched
+ * and only lowers counts on non-bottleneck rows, which raises their shares;
+ * each earlier bottleneck's share is unchanged and still first-minimal, so
+ * rounds [0, L) of the re-solve are identical by induction (DESIGN.md §10).
  *
  * solve_rounds[b] receives the total rounds executed for the block,
  * rounds_replayed[b] the rounds inherited from the carried freeze record
- * instead of re-executed (always 0 for modes 0/1).
+ * instead of re-executed.
  */
 int waterfill_batch(int num_blocks,
                     const int *block_flows, const int *block_rows,
@@ -261,7 +172,7 @@ int waterfill_batch(int num_blocks,
                     double *rates, unsigned char *active,
                     int *finished, int *finished_count,
                     double *next_flow, int *steps, int *stop_reason,
-                    const int *max_steps, int mode,
+                    const int *max_steps,
                     int *solve_rounds, int *rounds_replayed)
 {
     int max_nf = 0, max_nr = 0, max_nnz = 0;
@@ -302,95 +213,70 @@ int waterfill_batch(int num_blocks,
         int recorded = 0;   /* a freeze record exists for this block */
         int min_level = 0;  /* replay start: min level among retired flows */
         next_flow[b] = INFINITY;
-        if (mode) {
-            /* Persistent block bookkeeping: buckets over every flow (so
-             * retiring one never reshapes them — the rounds skip inactive
-             * entries, preserving active order) and active-only traversal
-             * counts, maintained incrementally as flows retire below. */
-            memset(counts, 0, (size_t)nr * sizeof(int));
-            memset(base_counts, 0, (size_t)nr * sizeof(int));
-            for (int f = f0; f < f1; f++) {
-                for (int k = flow_ptr[f]; k < flow_ptr[f + 1]; k++)
-                    counts[flow_rows[k] - row0]++;
-                if (!active[f]) continue;
-                active_n++;
-                for (int k = flow_ptr[f]; k < flow_ptr[f + 1]; k++)
-                    base_counts[flow_rows[k] - row0]++;
-            }
-            row_ptr[0] = 0;
-            for (int r = 0; r < nr; r++) row_ptr[r + 1] = row_ptr[r] + counts[r];
-            memset(fill, 0, (size_t)nr * sizeof(int));
-            for (int f = f0; f < f1; f++) {
-                for (int k = flow_ptr[f]; k < flow_ptr[f + 1]; k++) {
-                    int r = flow_rows[k] - row0;
-                    row_flows[row_ptr[r] + fill[r]++] = f;
-                }
+        /* Persistent block bookkeeping: buckets over every flow and
+         * active-only traversal counts, maintained as flows retire below. */
+        memset(counts, 0, (size_t)nr * sizeof(int));
+        memset(base_counts, 0, (size_t)nr * sizeof(int));
+        for (int f = f0; f < f1; f++) {
+            for (int k = flow_ptr[f]; k < flow_ptr[f + 1]; k++)
+                counts[flow_rows[k] - row0]++;
+            if (!active[f]) continue;
+            active_n++;
+            for (int k = flow_ptr[f]; k < flow_ptr[f + 1]; k++)
+                base_counts[flow_rows[k] - row0]++;
+        }
+        row_ptr[0] = 0;
+        for (int r = 0; r < nr; r++) row_ptr[r + 1] = row_ptr[r] + counts[r];
+        memset(fill, 0, (size_t)nr * sizeof(int));
+        for (int f = f0; f < f1; f++) {
+            for (int k = flow_ptr[f]; k < flow_ptr[f + 1]; k++) {
+                int r = flow_rows[k] - row0;
+                row_flows[row_ptr[r] + fill[r]++] = f;
             }
         }
         for (;;) {
-            if (mode == 2) {
-                if (active_n > 0) {
-                    int start = recorded ? min_level : 0;
-                    int prefix = start > 0 ? round_log[start] : 0;
-                    /* Reconstruct the state at the start of round `start`:
-                     * base counts (retired flows already subtracted) and
-                     * full residual, then the recorded prefix freezes in
-                     * their original order.  Prefix flows all survive —
-                     * their level is below every retired flow's. */
-                    memcpy(counts, base_counts, (size_t)nr * sizeof(int));
-                    memcpy(residual, caps + row0, (size_t)nr * sizeof(double));
-                    int unfrozen = active_n;
-                    for (int f = f0; f < f1; f++) {
-                        if (!active[f]) continue;
-                        frozen[f - f0] = 0;
-                    }
-                    for (int i = 0; i < prefix; i++) {
-                        int f = freeze_order[i];
-                        double share = rates[f];
-                        frozen[f - f0] = 1;
-                        unfrozen--;
-                        for (int j = flow_ptr[f]; j < flow_ptr[f + 1]; j++) {
-                            int r = flow_rows[j] - row0;
-                            double v = residual[r] - share;
-                            residual[r] = v > 0.0 ? v : 0.0;
-                            counts[r]--;
-                        }
-                    }
-                    for (int f = f0; f < f1; f++) {
-                        if (!active[f] || frozen[f - f0]) continue;
-                        rates[f] = 0.0;
-                    }
-                    int total = waterfill_rounds(f0, f1 - f0, row0, nr,
-                                                 flow_ptr, flow_rows, active,
-                                                 rates, residual, counts,
-                                                 row_ptr, row_flows, frozen,
-                                                 unfrozen, start, level_of,
-                                                 freeze_order, round_log,
-                                                 prefix);
-                    exec_rounds += total - start;
-                    inherited_rounds += start;
-                    recorded = 1;
-                    min_level = total;
+            if (active_n > 0) {
+                int start = recorded ? min_level : 0;
+                int prefix = start > 0 ? round_log[start] : 0;
+                /* Reconstruct the state at the start of round `start`:
+                 * base counts (retired flows already subtracted) and full
+                 * residual, then the recorded prefix freezes in their
+                 * original order.  Prefix flows all survive — their level
+                 * is below every retired flow's. */
+                memcpy(counts, base_counts, (size_t)nr * sizeof(int));
+                memcpy(residual, caps + row0, (size_t)nr * sizeof(double));
+                int unfrozen = active_n;
+                for (int f = f0; f < f1; f++) {
+                    if (!active[f]) continue;
+                    frozen[f - f0] = 0;
                 }
-            } else if (mode == 1) {
-                if (active_n > 0) {
-                    memcpy(counts, base_counts, (size_t)nr * sizeof(int));
-                    memcpy(residual, caps + row0, (size_t)nr * sizeof(double));
-                    for (int f = f0; f < f1; f++) {
-                        if (!active[f]) continue;
-                        frozen[f - f0] = 0;
-                        rates[f] = 0.0;
+                for (int i = 0; i < prefix; i++) {
+                    int f = freeze_order[i];
+                    double share = rates[f];
+                    frozen[f - f0] = 1;
+                    unfrozen--;
+                    for (int j = flow_ptr[f]; j < flow_ptr[f + 1]; j++) {
+                        int r = flow_rows[j] - row0;
+                        double v = residual[r] - share;
+                        residual[r] = v > 0.0 ? v : 0.0;
+                        counts[r]--;
                     }
-                    exec_rounds += waterfill_rounds(
-                        f0, f1 - f0, row0, nr, flow_ptr, flow_rows, active,
-                        rates, residual, counts, row_ptr, row_flows, frozen,
-                        active_n, 0, NULL, NULL, NULL, 0);
                 }
-            } else {
-                exec_rounds += solve_block(
-                    f0, f1 - f0, row0, nr, flow_ptr, flow_rows, caps,
-                    active, rates, residual, counts, row_ptr, row_flows,
-                    fill, frozen);
+                for (int f = f0; f < f1; f++) {
+                    if (!active[f] || frozen[f - f0]) continue;
+                    rates[f] = 0.0;
+                }
+                int total = waterfill_rounds(f0, f1 - f0, row0, nr,
+                                             flow_ptr, flow_rows, active,
+                                             rates, residual, counts,
+                                             row_ptr, row_flows, frozen,
+                                             unfrozen, start, level_of,
+                                             freeze_order, round_log,
+                                             prefix);
+                exec_rounds += total - start;
+                inherited_rounds += start;
+                recorded = 1;
+                min_level = total;
             }
             /* Earliest completion: strict < keeps the first flow on exact
              * ties, like the Python dict scan. */
@@ -422,12 +308,10 @@ int waterfill_batch(int num_blocks,
                 if (remaining[f] <= threshold[f]) {
                     finished[f0 + fcount++] = f;
                     active[f] = 0;
-                    if (mode) {
-                        active_n--;
-                        for (int j = flow_ptr[f]; j < flow_ptr[f + 1]; j++)
-                            base_counts[flow_rows[j] - row0]--;
-                    }
-                    if (mode == 2 && level_of[f - f0] < min_level)
+                    active_n--;
+                    for (int j = flow_ptr[f]; j < flow_ptr[f + 1]; j++)
+                        base_counts[flow_rows[j] - row0]--;
+                    if (level_of[f - f0] < min_level)
                         min_level = level_of[f - f0];
                     int g = group_of[f];
                     if (g >= 0 && --group_left[g] == 0) group_done = 1;
@@ -453,10 +337,6 @@ int waterfill_batch(int num_blocks,
 """
 
 CDEF = """
-int waterfill(int num_flows, int num_rows,
-              const int *flow_ptr, const int *flow_rows,
-              const double *caps, const unsigned char *active,
-              double *rates);
 int waterfill_batch(int num_blocks,
                     const int *block_flows, const int *block_rows,
                     const int *flow_ptr, const int *flow_rows,
@@ -467,7 +347,7 @@ int waterfill_batch(int num_blocks,
                     double *rates, unsigned char *active,
                     int *finished, int *finished_count,
                     double *next_flow, int *steps, int *stop_reason,
-                    const int *max_steps, int mode,
+                    const int *max_steps,
                     int *solve_rounds, int *rounds_replayed);
 """
 
@@ -566,7 +446,8 @@ def native_lib() -> Optional[Tuple[object, object]]:
     """Return ``(lib, ffi)`` for the compiled kernel, or ``None``.
 
     The first call per process may compile (seconds); later calls are cached.
-    A failed build is remembered so the fallback path is not retried per call.
+    A failed build warns once (``RuntimeWarning``, naming the error) and is
+    remembered, so the fallback is neither silent nor retried per call.
     """
     global _LOADED, _LOAD_FAILED
     if _LOADED is not None:
@@ -586,8 +467,14 @@ def native_lib() -> Optional[Tuple[object, object]]:
         spec.loader.exec_module(module)
         _LOADED = (module.lib, module.ffi)
         return _LOADED
-    except Exception:
+    except Exception as exc:  # noqa: BLE001 — any build failure means fallback
         _LOAD_FAILED = True
+        warnings.warn(
+            f"native fluid kernel unavailable ({type(exc).__name__}: {exc}); "
+            f"using the pure-Python scalar oracle, which is much slower",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         return None
 
 

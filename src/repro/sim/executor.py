@@ -39,11 +39,10 @@ class ExecutionResult:
     """Outcome of one executor run.
 
     ``events`` counts executor events — one per timed-event instant plus one
-    per flow-completion instant — and is identical between :meth:`Executor.run`
-    and :meth:`Executor.iter_run` (both draw down the same ``max_events``
-    budget).  ``solve_rounds`` / ``rounds_replayed`` are native-kernel cost
-    counters (see :class:`~repro.sim.flows.FlowAdvanceOutcome`); they stay 0
-    on the per-event reference path and the Python solvers.
+    per flow-completion instant — drawn down from the ``max_events`` budget.
+    ``solve_rounds`` / ``rounds_replayed`` are kernel cost counters (see
+    :class:`~repro.sim.flows.FlowAdvanceOutcome`); they stay 0 on the scalar
+    oracle.
     """
 
     makespan: float
@@ -68,21 +67,13 @@ class Executor:
     Args:
         graph: The iteration DAG.
         region: The fabric region view providing links and routing.
-        solver: Fluid rate-solver implementation (one of
-            :data:`repro.sim.flows.SOLVERS`); defaults to the process-wide
-            default.
     """
 
-    def __init__(
-        self,
-        graph: TaskGraph,
-        region: RegionNetwork,
-        solver: Optional[str] = None,
-    ) -> None:
+    def __init__(self, graph: TaskGraph, region: RegionNetwork) -> None:
         graph.validate()
         self.graph = graph
         self.region = region
-        self.network = FluidNetwork(region, solver=solver)
+        self.network = FluidNetwork(region)
         # (src, dst, route) -> the resolved path's incidence rows in the
         # network (FluidNetwork.path_rows), for every route resolved since
         # the last topology change.  EP routes follow the optical circuits;
@@ -92,14 +83,9 @@ class Executor:
         self._static_rows: Dict[RouteKey, List[int]] = {}
 
     # ------------------------------------------------------------------- run
-    def _make_state(self) -> "_RunState":
-        return _RunState(self)
-
     def run(self, max_events: int = 5_000_000) -> ExecutionResult:
-        """Execute the DAG and return timing results.
-
-        This is the per-event reference loop; :meth:`iter_run` is the folded
-        formulation (bit-identical results, enforced by differential tests).
+        """Execute the DAG and return timing results: :meth:`iter_run`
+        driven standalone, as a one-block folded batch.
 
         Raises:
             RuntimeError: If the simulation deadlocks (flows exist but cannot
@@ -107,65 +93,30 @@ class Executor:
                 ``max_events``; the message names the simulated time, the
                 active flow count and the first unfinished tasks.
         """
-        state = self._make_state()
-        tasks = state.tasks
-        timed_events = state.timed_events
-        done = state.done
-        state.start_roots()
-
-        events = 0
-        budget_error = f"exceeded the maximum event budget ({max_events})"
-        while len(done) < len(tasks):
-            events += 1
-            if events > max_events:
-                raise state.error(budget_error)
-
-            now = state.now
-            next_timed: Optional[float] = timed_events[0][0] if timed_events else None
-            next_flow_dt = self.network.time_to_next_completion()
-            next_flow: Optional[float] = now + next_flow_dt if next_flow_dt is not None else None
-
-            if next_timed is None and next_flow is None:
-                raise state.deadlock_error()
-
-            if next_flow is None or (next_timed is not None and next_timed <= next_flow):
-                target_time = max(now, next_timed)  # type: ignore[arg-type]
-                if target_time > now:
-                    self.network.progress(target_time - now)
-                state.now = target_time
-                state.complete_due_timed_events()
-                # Flows may finish at exactly the same instant as a timed task;
-                # their owning communication tasks must complete too.
-                state.complete_drained_groups()
-            else:
-                # Advance by the relative step rather than the difference of
-                # absolute times, which would be absorbed to zero once the
-                # clock is many orders of magnitude larger than the step.
-                assert next_flow_dt is not None
-                self.network.progress(next_flow_dt)
-                state.now = now + next_flow_dt
-                state.complete_drained_groups()
-
-        state.result.makespan = state.now
-        state.result.events = events
-        return state.result
+        runner = self.iter_run(max_events)
+        outcome: Optional[FlowAdvanceOutcome] = None
+        while True:
+            try:
+                request = runner.send(outcome) if outcome is not None else next(runner)
+            except StopIteration as stop:
+                return stop.value
+            outcome = service_advance_requests([request])[0]
 
     def iter_run(
         self, max_events: int = 5_000_000
     ) -> Generator[FlowAdvanceRequest, FlowAdvanceOutcome, ExecutionResult]:
-        """Folded form of :meth:`run`: a generator that delegates every span
-        of consecutive flow events to its driver.
+        """The event loop, as a generator that delegates every span of
+        consecutive flow events to its driver.
 
         Whenever flows are active, the generator yields a
         :class:`FlowAdvanceRequest` (budgeted at the next timed event) and
         expects the matching :class:`FlowAdvanceOutcome` via ``send()``.  A
         driver servicing many executors batches their requests through one
-        ``waterfill_batch`` call (:func:`service_advance_requests`); driving a
-        single executor this way is exactly :meth:`run` with the inner flow
-        loop moved into C.  Returns the :class:`ExecutionResult` as the
-        generator's value.
+        ``waterfill_batch`` call (:func:`service_advance_requests`); :meth:`run`
+        drives a single executor.  Returns the :class:`ExecutionResult` as the
+        generator's value.  Raises as :meth:`run` does.
         """
-        state = self._make_state()
+        state = _RunState(self)
         tasks = state.tasks
         timed_events = state.timed_events
         done = state.done
@@ -199,8 +150,8 @@ class Executor:
                 continue
             if outcome.reason == "steps":
                 raise state.error(budget_error)
-            # "budget", "stall" or "idle": the next event is a timed one (the
-            # run() loop's timed branch), or nothing can ever progress.
+            # "budget", "stall" or "idle": the next event is a timed one, or
+            # nothing can ever progress.
             if not timed_events:
                 raise state.deadlock_error()
             events += 1
@@ -218,17 +169,6 @@ class Executor:
         state.result.solve_rounds = solve_rounds
         state.result.rounds_replayed = rounds_replayed
         return state.result
-
-    def run_folded(self, max_events: int = 5_000_000) -> ExecutionResult:
-        """Drive :meth:`iter_run` standalone (a one-block folded batch)."""
-        runner = self.iter_run(max_events)
-        outcome: Optional[FlowAdvanceOutcome] = None
-        while True:
-            try:
-                request = runner.send(outcome) if outcome is not None else next(runner)
-            except StopIteration as stop:
-                return stop.value
-            outcome = service_advance_requests([request])[0]
 
     # ----------------------------------------------------------------- routes
     def _resolve_routes(
@@ -262,8 +202,8 @@ class Executor:
 
 
 class _RunState:
-    """DAG bookkeeping shared by :meth:`Executor.run` and
-    :meth:`Executor.iter_run` — task readiness and the timed-event heap.
+    """DAG bookkeeping of one :meth:`Executor.iter_run` — task readiness and
+    the timed-event heap.
     Comm-task completion is driven by the network's drained-group order
     (each comm task's flows form one group), so no per-flow ownership maps
     are maintained."""

@@ -14,25 +14,15 @@ flow→link incidence (DESIGN.md §11); flows are admitted as array batches
 :attr:`FluidNetwork.flows`, :meth:`FluidNetwork.advance` and
 :attr:`FlowAdvanceOutcome.finished`, and accepted by ``add_flow(s)``.
 
-Three interchangeable, *exact* rate solvers read the same CSR arrays
-(see DESIGN.md §2):
+Rates come from one of two exact max–min solvers over the same CSR arrays
+(DESIGN.md §2):
 
-* ``"scalar"`` — the original pure-Python reference, kept for differential
-  testing (``tests/test_sim_flows_properties.py`` asserts every solver
-  agrees with it to 1e-9 on randomised topologies).
-* ``"vectorized"`` — below :data:`DENSE_ROUND_THRESHOLD` active flows the
-  bottleneck sequence is driven by a lazily-invalidated share heap with
-  exact-tie draining, above it by numpy water-filling rounds over the dense
-  incidence matrix.
-* ``"native"`` — a small compiled C kernel (:mod:`repro.sim._native`) when
-  a compiler is available; silently falls back to ``"vectorized"``
-  otherwise.
-
-``"auto"`` (the default) resolves to ``"native"`` when the kernel is
-available and ``"vectorized"`` otherwise.  Select per network with
-``FluidNetwork(region, solver=...)``, per run with
-``RuntimeOptions(fluid_solver=...)``, or process-wide via
-:func:`set_default_solver` / the ``REPRO_FLUID_SOLVER`` environment variable.
+* the compiled ``waterfill_batch`` kernel (:mod:`repro.sim._native`) — the
+  production path, which also advances flows between solves;
+* :func:`_waterfill_scalar`, the seed's pure-Python oracle, driven per event
+  by :func:`_advance_python`.  It is the differential-test reference and the
+  single fallback when the kernel cannot be built or runs out of scratch
+  memory.
 
 Link capacities are cached per network and re-read on
 :meth:`FluidNetwork.mark_topology_changed` (which all in-tree capacity
@@ -43,7 +33,6 @@ callbacks).
 from __future__ import annotations
 
 import bisect
-import heapq
 import warnings
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
@@ -52,91 +41,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.fabric.base import GBPS_TO_BYTES_PER_S, RegionNetwork
-from repro.flags import read_flag
-from repro.selection import ImplementationSelector
-
-#: Accepted solver names (``"auto"`` resolves at construction time).
-SOLVERS = ("auto", "native", "vectorized", "scalar")
-
-#: Active-flow count at which the vectorized solver switches from heap-ordered
-#: to dense-matrix water-filling rounds.
-DENSE_ROUND_THRESHOLD = 512
-
-#: Process-wide override for the native kernel's incremental warm-start mode
-#: (``None`` defers to the ``REPRO_WATERFILL_WARM_START`` environment
-#: variable, which defaults to enabled).  The mode is bit-identical to the
-#: from-scratch solve — it carries each block's water-filling bookkeeping
-#: across the solve → advance loop instead of rebuilding it per event — so
-#: the switch exists for differential testing, not for result exploration.
-_WARM_START_OVERRIDE: Optional[bool] = None
-
-
-def warm_start_enabled() -> bool:
-    """Whether ``waterfill_batch`` runs in incremental warm-start mode."""
-    if _WARM_START_OVERRIDE is not None:
-        return _WARM_START_OVERRIDE
-    return read_flag("REPRO_WATERFILL_WARM_START") != "0"
-
-
-def set_warm_start(enabled: Optional[bool]) -> None:
-    """Override warm-start mode process-wide (``None`` resets to the env)."""
-    global _WARM_START_OVERRIDE
-    _WARM_START_OVERRIDE = enabled
-
-
-#: Process-wide override for the native kernel's incremental freeze-level
-#: replay mode (``None`` defers to ``REPRO_WATERFILL_INCREMENTAL``, default
-#: enabled).  The mode carries each block's freeze structure across events
-#: and replays only the rounds whose membership a retirement changed; the
-#: replay re-applies the recorded prefix in its original operation order, so
-#: results are bit-identical to a full solve (DESIGN.md §10).  Like the
-#: warm-start switch it exists for differential testing, not exploration.
-_INCREMENTAL_OVERRIDE: Optional[bool] = None
-
-
-def incremental_enabled() -> bool:
-    """Whether ``waterfill_batch`` runs in incremental freeze-replay mode."""
-    if _INCREMENTAL_OVERRIDE is not None:
-        return _INCREMENTAL_OVERRIDE
-    return read_flag("REPRO_WATERFILL_INCREMENTAL") != "0"
-
-
-def set_incremental(enabled: Optional[bool]) -> None:
-    """Override incremental mode process-wide (``None`` resets to the env)."""
-    global _INCREMENTAL_OVERRIDE
-    _INCREMENTAL_OVERRIDE = enabled
-
-
-def _resolve_solver_impl(solver: str) -> str:
-    if solver in ("auto", "native"):
-        from repro.sim._native import native_available
-
-        return "native" if native_available() else "vectorized"
-    return solver
-
-
-_selector = ImplementationSelector(
-    kind="solver",
-    names=SOLVERS,
-    env_var="REPRO_FLUID_SOLVER",
-    resolver=_resolve_solver_impl,
-)
-
-
-def default_solver() -> str:
-    """The solver new :class:`FluidNetwork` instances use when none is given."""
-    return _selector.default()
-
-
-def set_default_solver(solver: Optional[str]) -> None:
-    """Override the process-wide default solver (``None`` resets to the env)."""
-    _selector.set_default(solver)
-
-
-def resolve_solver(solver: Optional[str]) -> str:
-    """Resolve a requested solver name to a concrete implementation."""
-    return _selector.resolve(solver)
-
+from repro.sim import _native
 
 @dataclass(slots=True)
 class Flow:
@@ -251,15 +156,10 @@ class FluidNetwork:
             re-read whenever :meth:`mark_topology_changed` signals a change,
             so topology reconfigurations (capacity changes, new optical
             circuits) made between events take effect immediately.
-        solver: One of :data:`SOLVERS`; defaults to :func:`default_solver`.
-            The concrete implementation in use is exposed as ``self.solver``.
     """
 
-    def __init__(self, region: RegionNetwork, solver: Optional[str] = None) -> None:
+    def __init__(self, region: RegionNetwork) -> None:
         self.region = region
-        self.solver = resolve_solver(solver)
-        self._native_loaded = None
-        self._pointers: Dict[str, tuple] = {}  # see _pointer()
         self._rates_dirty = True
         # Links: one incidence row per link, assigned in order of first use
         # and never reassigned (the kernel breaks round ties by row index).
@@ -482,7 +382,7 @@ class FluidNetwork:
 
     def _active_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(slots, ptr, rows)``: the CSR of the active flows alone, in slot
-        order, rebuilt for each one-shot solve."""
+        order, rebuilt for each oracle solve."""
         n = self._n
         ptr = self._ptr[: n + 1]
         if self._live == n:
@@ -595,73 +495,18 @@ class FluidNetwork:
 
     # ------------------------------------------------------------ rate solver
     def compute_rates(self) -> None:
-        """Max–min fair allocation of every active flow's rate."""
+        """Max–min fair allocation of every active flow's rate: the kernel's
+        own, from a one-block ``waterfill_batch`` call that takes no step, or
+        the scalar oracle's without the kernel (or after a scratch OOM)."""
         if self._capacity_dirty:
             self._refresh_capacities()
         if self._live:
-            if self._native_ready():
-                self._solve_native()
-            else:
-                self._solve_python()
+            native = _native.native_lib()
+            solve = FlowAdvanceRequest(self, 0.0, None, max_steps=0)
+            if native is None or _advance_native_batch([solve], native) is None:
+                slots, ptr, rows = self._active_csr()
+                self._rate[slots] = _waterfill_scalar(ptr, rows, self._cap)
         self._rates_dirty = False
-
-    def _solve_python(self) -> None:
-        slots, ptr, rows = self._active_csr()
-        if self.solver == "scalar":
-            rates = _waterfill_scalar(ptr, rows, self._cap)
-        elif len(slots) >= DENSE_ROUND_THRESHOLD:
-            rates = _waterfill_dense(ptr, rows, self._cap)
-        else:
-            rates = _waterfill_heap(ptr, rows, self._cap)
-        self._rate[slots] = rates
-
-    def _native_ready(self) -> bool:
-        """Lazily load the C kernel; degrade to ``vectorized`` if unavailable."""
-        if self.solver != "native":
-            return False
-        if self._native_loaded is None:
-            from repro.sim._native import native_lib
-
-            self._native_loaded = native_lib()
-            if self._native_loaded is None:
-                # Compiler/kernel unavailable after all; degrade gracefully.
-                self.solver = "vectorized"
-                return False
-        return True
-
-    def _solve_native(self) -> None:
-        """One-shot C solve over the active slots, in place."""
-        lib, ffi = self._native_loaded
-        status = lib.waterfill(
-            self._n,
-            len(self._link_ids),
-            self._pointer(ffi, "_ptr", "const int *"),
-            self._pointer(ffi, "_rows", "const int *"),
-            self._pointer(ffi, "_cap", "const double *"),
-            self._pointer(ffi, "_active", "const unsigned char *"),
-            self._pointer(ffi, "_rate", "double *"),
-        )
-        if status != 0:
-            # Scratch-allocation failure (WF_OOM): the rates are zeroed, not
-            # valid.  Demote to the Python solver — the allocation would just
-            # fail again — and solve with it.
-            warnings.warn(
-                "native fluid kernel (waterfill) could not allocate scratch "
-                "memory; falling back to the Python rate solver",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            self.solver = "vectorized"
-            self._solve_python()
-
-    def _pointer(self, ffi, name: str, ctype: str):
-        """A cffi pointer to array attribute ``name``, cached until the
-        attribute is replaced (growth, capacity refresh)."""
-        array = getattr(self, name)
-        cached = self._pointers.get(name)
-        if cached is None or cached[0] is not array:
-            cached = self._pointers[name] = (array, ffi.cast(ctype, ffi.from_buffer(array)))
-        return cached[1]
 
     # ------------------------------------------------------------ progression
     def time_to_next_completion(self) -> Optional[float]:
@@ -786,125 +631,6 @@ def _waterfill_scalar(ptr: np.ndarray, rows: np.ndarray, caps: np.ndarray) -> Li
     return rates
 
 
-def _waterfill_heap(ptr: np.ndarray, rows: np.ndarray, caps: np.ndarray) -> List[float]:
-    """Progressive water-filling with a heap-ordered bottleneck sequence.
-
-    Each round pops the link with the smallest residual fair share,
-    freezes every unfrozen flow crossing it at that share, drains any
-    *exactly* tied links that the freeze left untouched (their shares are
-    provably still minimal), and finally pushes one refreshed entry per
-    touched link.  Stale heap entries are invalidated lazily via per-link
-    version counters.  Initial entries share version 0, so first-round
-    ties break on row index.
-    """
-    flow_rows = _flow_rows(ptr, rows)
-    num_rows = len(caps)
-    row_flows: List[List[int]] = [[] for _ in range(num_rows)]
-    for flow, path in enumerate(flow_rows):
-        for row in path:
-            row_flows[row].append(flow)
-    counts = [len(members) for members in row_flows]
-    residual = caps.tolist()
-    rates = [0.0] * len(flow_rows)
-    version = [0] * num_rows
-    heap = [
-        (residual[row] / counts[row], 0, row)
-        for row in range(num_rows)
-        if counts[row] > 0
-    ]
-    heapq.heapify(heap)
-    frozen = bytearray(len(flow_rows))
-    unfrozen = len(flow_rows)
-    touched: List[int] = []
-    touched_flag = bytearray(num_rows)
-    pop = heapq.heappop
-    push = heapq.heappush
-
-    def freeze_link(row: int, share: float) -> int:
-        newly = 0
-        for flow in row_flows[row]:
-            if frozen[flow]:
-                continue
-            rates[flow] = share
-            frozen[flow] = 1
-            newly += 1
-            for touched_row in flow_rows[flow]:
-                value = residual[touched_row] - share
-                residual[touched_row] = value if value > 0.0 else 0.0
-                counts[touched_row] -= 1
-                version[touched_row] += 1
-                if not touched_flag[touched_row]:
-                    touched_flag[touched_row] = 1
-                    touched.append(touched_row)
-        return newly
-
-    while unfrozen:
-        while heap:
-            share, entry_version, row = pop(heap)
-            if entry_version == version[row] and counts[row] > 0:
-                break
-        else:
-            # No remaining constraints: unconstrained flows get "infinite"
-            # rate; in practice every path has at least one finite link.
-            for flow, is_frozen in enumerate(frozen):
-                if not is_frozen:
-                    rates[flow] = float("inf")
-            break
-        if share < 0.0:
-            share = 0.0
-        unfrozen -= freeze_link(row, share)
-        # Exact ties whose links the freeze did not touch still hold the
-        # minimal share (shares of touched links can only grow), so they
-        # can be drained in the same round; touched links' entries are
-        # stale by version and skipped.
-        while heap and heap[0][0] == share:
-            _, entry_version, tied_row = pop(heap)
-            if entry_version == version[tied_row] and counts[tied_row] > 0:
-                unfrozen -= freeze_link(tied_row, share)
-        for touched_row in touched:
-            touched_flag[touched_row] = 0
-            if counts[touched_row] > 0:
-                push(
-                    heap,
-                    (
-                        residual[touched_row] / counts[touched_row],
-                        version[touched_row],
-                        touched_row,
-                    ),
-                )
-        touched.clear()
-    return rates
-
-
-def _waterfill_dense(ptr: np.ndarray, rows: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    """Progressive water-filling as numpy rounds over the dense incidence
-    matrix — the profitable formulation once enough flows are active."""
-    num_flows = len(ptr) - 1
-    incidence = np.zeros((len(caps), num_flows))
-    np.add.at(incidence, (rows, np.repeat(np.arange(num_flows), np.diff(ptr))), 1.0)
-    residual = caps.copy()
-    rates = np.zeros(num_flows)
-    unfrozen = np.ones(num_flows, dtype=bool)
-    counts = incidence.sum(axis=1)
-    while unfrozen.any():
-        carrying = counts > 0.0
-        if not carrying.any():
-            rates[unfrozen] = np.inf
-            break
-        shares = np.full(len(caps), np.inf)
-        np.divide(residual, counts, out=shares, where=carrying)
-        bottleneck = int(np.argmin(shares))
-        share = max(0.0, float(shares[bottleneck]))
-        freeze = unfrozen & (incidence[bottleneck] > 0.0)
-        rates[freeze] = share
-        unfrozen &= ~freeze
-        frozen_counts = incidence[:, np.nonzero(freeze)[0]].sum(axis=1)
-        residual -= share * frozen_counts
-        np.maximum(residual, 0.0, out=residual)
-        counts -= frozen_counts
-    return rates
-
-
 # --------------------------------------------------------------- folded advance
 @dataclass
 class FlowAdvanceRequest:
@@ -936,12 +662,11 @@ class FlowAdvanceOutcome:
             ``"group"`` (a flow group drained — its owner needs Python),
             ``"stall"`` (flows exist but none can progress),
             ``"steps"`` (``max_steps`` exhausted), or ``"idle"`` (no flows).
-        solve_rounds: Water-filling rounds the native kernel executed for
-            this network (0 on the Python paths — a solver-cost counter, not
-            part of the simulation result).
-        rounds_replayed: Rounds the incremental mode inherited from the
-            carried freeze record instead of re-executing (0 unless
-            ``incremental_enabled()`` and the native kernel ran).
+        solve_rounds: Water-filling rounds the kernel executed for this
+            network (0 on the oracle — a solver-cost counter, not part of
+            the simulation result).
+        rounds_replayed: Rounds the kernel inherited from the carried
+            freeze record instead of re-executing (0 on the oracle).
         network, finished_slots, epoch: Where the finished flows live; see
             :attr:`finished`.
     """
@@ -975,36 +700,40 @@ def service_advance_requests(
 ) -> List[FlowAdvanceOutcome]:
     """Advance many fluid networks at once — the folded execution core.
 
-    Networks backed by the native solver are stacked into one block-diagonal
-    CSR and advanced by a single ``waterfill_batch`` call (no Python between
-    their flow events); the rest run an equivalent per-network Python loop.
-    Blocks are independent (no shared links), so batch results are
-    bit-identical to advancing each network alone.
+    The busy networks are stacked into one block-diagonal CSR and advanced
+    by a single ``waterfill_batch`` call (no Python between their flow
+    events).  Blocks are independent (no shared links), so batch results are
+    bit-identical to advancing each network alone.  Without the kernel, or
+    if it runs out of scratch memory, each network runs the oracle's
+    per-event loop (:func:`_advance_python`) instead.
     """
     outcomes: List[Optional[FlowAdvanceOutcome]] = [None] * len(requests)
-    native_indices: List[int] = []
+    busy: List[int] = []
     for index, request in enumerate(requests):
         network = request.network
         if not network._live:
             outcomes[index] = FlowAdvanceOutcome(request.now, None, 0, "idle")
-        elif network._native_ready():
-            native_indices.append(index)
-        else:
-            outcomes[index] = _advance_python(request)
-    if native_indices:
-        batch = _advance_native_batch([requests[i] for i in native_indices])
+            continue
+        if 2 * network._live < network._n:
+            network._compact()
+        busy.append(index)
+    if busy:
+        native = _native.native_lib()
+        batch = None
+        if native is not None:
+            batch = _advance_native_batch([requests[i] for i in busy], native)
         if batch is None:
-            # Kernel scratch OOM (already warned): no flow moved, so the
-            # Python loop can service each request from the same state.
-            batch = [_advance_python(requests[i]) for i in native_indices]
-        for index, outcome in zip(native_indices, batch):
+            # No kernel, or scratch OOM (already warned) with no flow moved:
+            # the oracle services each request from the same state.
+            batch = [_advance_python(requests[i]) for i in busy]
+        for index, outcome in zip(busy, batch):
             outcomes[index] = outcome
     return outcomes  # type: ignore[return-value]
 
 
 def _advance_python(request: FlowAdvanceRequest) -> FlowAdvanceOutcome:
-    """Reference implementation of one folded advance, via the public
-    per-event primitives (so it works with every solver)."""
+    """One folded advance through the per-event primitives: the oracle's
+    loop, solving with :func:`_waterfill_scalar` when the kernel is absent."""
     network = request.network
     now = request.now
     finished: List[np.ndarray] = []
@@ -1085,7 +814,7 @@ _BATCH_SCRATCH = _BatchScratch()
 
 
 def _advance_native_batch(
-    requests: Sequence[FlowAdvanceRequest],
+    requests: Sequence[FlowAdvanceRequest], native: Tuple[object, object]
 ) -> Optional[List[FlowAdvanceOutcome]]:
     """Advance all requests with one ``waterfill_batch`` call.
 
@@ -1095,21 +824,19 @@ def _advance_native_batch(
     per-flow Python.  Returns ``None`` (after warning) if the kernel reports
     scratch OOM; no flow has moved in that case.
     """
-    lib, ffi = requests[0].network._native_loaded
+    lib, ffi = native
     num_blocks = len(requests)
     scratch = _BATCH_SCRATCH
     block_flows = scratch.get("block_flows", num_blocks + 1, np.int32)
     block_rows = scratch.get("block_rows", num_blocks + 1, np.int32)
     block_flows[0] = 0
     block_rows[0] = 0
-    # First pass: compact sparse blocks and size the batch.
+    # First pass: size the batch.
     flow_base = row_base = nnz_base = group_total = 0
     for index, request in enumerate(requests):
         network = request.network
         if network._capacity_dirty:
             network._refresh_capacities()
-        if 2 * network._live < network._n:
-            network._compact()
         flow_base += network._n
         row_base += len(network._link_ids)
         nnz_base += network._nnz
@@ -1176,12 +903,6 @@ def _advance_native_batch(
     solve_rounds = scratch.get("solve_rounds", num_blocks, np.int32)
     rounds_replayed = scratch.get("rounds_replayed", num_blocks, np.int32)
 
-    if incremental_enabled():
-        mode = 2
-    elif warm_start_enabled():
-        mode = 1
-    else:
-        mode = 0
     status = lib.waterfill_batch(
         num_blocks,
         scratch.ptr(ffi, "block_flows", "const int *"),
@@ -1203,14 +924,13 @@ def _advance_native_batch(
         scratch.ptr(ffi, "steps", "int *"),
         scratch.ptr(ffi, "stop_reason", "int *"),
         scratch.ptr(ffi, "max_steps", "const int *"),
-        mode,
         scratch.ptr(ffi, "solve_rounds", "int *"),
         scratch.ptr(ffi, "rounds_replayed", "int *"),
     )
     if status != 0:
         warnings.warn(
             "native fluid kernel (waterfill_batch) could not allocate scratch "
-            "memory; falling back to the Python advance loop",
+            "memory; falling back to the scalar oracle",
             RuntimeWarning,
             stacklevel=3,
         )

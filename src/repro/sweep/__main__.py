@@ -23,7 +23,6 @@ from typing import List, Optional
 
 from repro.core.reconfigure import ENGINES
 from repro.core.runtime import FIRST_A2A_POLICIES
-from repro.sim.flows import SOLVERS
 from repro.sweep.registry import FABRIC_BUILDERS, SWEEP_MODELS
 from repro.sweep.runner import FoldedSweepRunner, SweepRunner
 from repro.sweep.spec import SweepSpec, structural_groups
@@ -77,10 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print a per-config phase breakdown "
                              "(setup/solve/advance/store) and template-source "
                              "counts after the run")
-    parser.add_argument("--solver", choices=list(SOLVERS), default=None,
-                        help="fluid rate solver override (default: auto — the "
-                             "compiled native kernel when a C compiler is "
-                             "present, the numpy vectorized solver otherwise)")
     parser.add_argument("--reconfig-engines", nargs="+", default=["auto"],
                         choices=list(ENGINES), metavar="ENGINE",
                         help=f"Algorithm 1 reconfiguration engines to sweep "
@@ -171,7 +166,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         runner = FoldedSweepRunner(
             configs,
             cache_dir=args.cache_dir,
-            solver=args.solver,
             workers=args.workers,
             template_dir=template_dir,
         )
@@ -180,7 +174,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             configs,
             workers=args.workers,
             cache_dir=args.cache_dir,
-            solver=args.solver,
         )
     with runner:
         results = runner.run()

@@ -8,7 +8,7 @@ split every runner records into :class:`~repro.sweep.runner.SweepResult` —
   (and including) executor construction: everything the template cache
   attacks;
 * ``solve_s``   — time inside the batched ``service_advance_requests`` calls
-  (folded) or the executor's ``run()`` (unfolded), i.e. the solver;
+  (folded) or the executor's whole ``run()`` (unfolded);
 * ``advance_s`` — Python-side generator time between solves (folded only:
   task bookkeeping, flow admission);
 * ``store_s``   — result-cache write.

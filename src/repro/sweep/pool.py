@@ -55,7 +55,7 @@ def _pool_worker(worker_id: int, tasks, results) -> None:
         from repro.sim import _native
 
         _native.native_lib()
-    except Exception:  # noqa: BLE001 — no kernel is fine, workers degrade
+    except Exception:  # noqa: BLE001 — no kernel: workers run the oracle
         pass
     try:
         # Import the sweep stack (runner, template cache, simulator) before

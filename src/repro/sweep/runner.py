@@ -95,10 +95,8 @@ class SweepResult:
     from_cache: bool = False
     #: Executor observability (DESIGN.md §10): events consumed by the
     #: event loop; water-filling rounds executed vs. inherited from the
-    #: incremental kernel's freeze record.  ``events`` is path-independent
-    #: (folded and unfolded runs consume identical event counts); the round
-    #: counters are mode-dependent observability and stay 0 outside the
-    #: folded native-batch path.
+    #: kernel's freeze record.  Folded and unfolded runs report identical
+    #: counts; the round counters stay 0 on the scalar oracle.
     events: int = 0
     solve_rounds: int = 0
     rounds_replayed: int = 0
@@ -217,7 +215,7 @@ def _store_result(cache_dir: Optional[str], result: SweepResult) -> None:
 
 
 def _materialise(
-    config: SweepConfig, solver: Optional[str]
+    config: SweepConfig,
 ) -> Tuple[MoEModelConfig, ClusterSpec, Fabric, RuntimeOptions]:
     """Registry names -> concrete model/cluster/fabric/options for one config."""
     from repro.cluster import simulation_cluster
@@ -230,15 +228,13 @@ def _materialise(
     )
     fabric = build_fabric(config.fabric, cluster)
     # "auto" defers to the process-wide default (REPRO_RECONFIG_ENGINE /
-    # set_default_engine), mirroring how fluid_solver=None defers — so e.g.
-    # the CI scalar-oracle leg reaches the sweep path too.  An explicit
-    # engine in the config pins it.
+    # set_default_engine), so e.g. the CI scalar-oracle leg reaches the
+    # sweep path too.  An explicit engine in the config pins it.
     engine = None if config.reconfig_engine == "auto" else config.reconfig_engine
     options = RuntimeOptions(
         first_a2a_policy=config.first_a2a_policy,
         reconfiguration_delay_s=config.reconfiguration_delay_s,
         seed=config.seed,
-        fluid_solver=solver,
         reconfig_engine=engine,
     )
     return model, cluster, fabric, options
@@ -246,7 +242,6 @@ def _materialise(
 
 def run_config(
     config: SweepConfig,
-    solver: Optional[str] = None,
     config_hash: Optional[str] = None,
 ) -> SweepResult:
     """Materialise one configuration and simulate it — always from scratch.
@@ -257,10 +252,10 @@ def run_config(
     = the fluid solve), so profiles of folded and unfolded runs line up.
     """
     start = phase_clock()
-    model, cluster, fabric, options = _materialise(config, solver)
+    model, cluster, fabric, options = _materialise(config)
     simulator = TrainingSimulator(model, cluster, fabric, options=options)
     prepared = simulator._prepare_iteration(None, parse_failure(config.failure))
-    executor = Executor(prepared.graph, prepared.region, solver=options.fluid_solver)
+    executor = Executor(prepared.graph, prepared.region)
     setup_end = phase_clock()
     execution = executor.run()
     solve_end = phase_clock()
@@ -275,7 +270,6 @@ def run_config(
 
 def iter_run_config(
     config: SweepConfig,
-    solver: Optional[str] = None,
     config_hash: Optional[str] = None,
     template: Optional[StructuralTemplate] = None,
 ):
@@ -289,7 +283,7 @@ def iter_run_config(
     way (``tests/test_sweep_template.py``).
     """
     start = phase_clock()
-    model, cluster, fabric, options = _materialise(config, solver)
+    model, cluster, fabric, options = _materialise(config)
     simulator = TrainingSimulator(
         model, cluster, fabric, options=options, template=template
     )
@@ -299,29 +293,6 @@ def iter_run_config(
     return SweepResult.from_iteration(
         config, result, phase_clock() - start, config_hash=config_hash
     )
-
-
-def _worker(
-    payload: Tuple[int, Dict[str, object], str, Optional[str]]
-) -> Tuple[int, Dict[str, object]]:
-    """Legacy one-config entry point (kept for API compatibility).
-
-    The pool tasks below supersede it, but its contract — failures are
-    returned as tagged payloads rather than raised, so one bad configuration
-    cannot tear down a result stream — is still the right building block for
-    external callers driving their own pools.
-    """
-    index, config_dict, config_hash, solver = payload
-    try:
-        config = SweepConfig.from_dict(config_dict)
-        result = run_config(config, solver=solver, config_hash=config_hash)
-        return index, result.to_dict()
-    except Exception as exc:  # noqa: BLE001 — structured error record
-        return index, {
-            "__error__": f"{type(exc).__name__}: {exc}",
-            "config": config_dict,
-            "config_hash": config_hash,
-        }
 
 
 def _ok_payload(board, slot: int, index: int, result: SweepResult) -> tuple:
@@ -341,7 +312,6 @@ def _config_shard_task(
     hashes: List[str],
     indices: List[int],
     slots: List[int],
-    solver: Optional[str],
     cache_dir: Optional[str],
     board_name: Optional[str],
     num_slots: int,
@@ -359,7 +329,7 @@ def _config_shard_task(
         ):
             try:
                 config = SweepConfig.from_dict(config_dict)
-                result = run_config(config, solver=solver, config_hash=config_hash)
+                result = run_config(config, config_hash=config_hash)
             except Exception as exc:  # noqa: BLE001 — structured error record
                 emit(("err", index, f"{type(exc).__name__}: {exc}"))
                 continue
@@ -376,7 +346,6 @@ def _fold_shard_task(
     hashes: List[str],
     indices: List[int],
     slots: List[int],
-    solver: Optional[str],
     cache_dir: Optional[str],
     board_name: Optional[str],
     num_slots: int,
@@ -399,7 +368,7 @@ def _fold_shard_task(
     try:
         configs = [SweepConfig.from_dict(d) for d in config_dicts]
         shard = FoldedSweepRunner(
-            configs, fold_width=fold_width, cache_dir=cache_dir, solver=solver,
+            configs, fold_width=fold_width, cache_dir=cache_dir,
             template_dir=template_dir,
         )
         shard.result_callback = lambda local, result: emit(
@@ -474,8 +443,6 @@ class SweepRunner:
         workers: Worker processes; ``0`` or ``1`` runs inline (no pool).
         cache_dir: Directory for per-configuration result JSON keyed by the
             config hash; ``None`` disables caching.
-        solver: Fluid-solver override forwarded to every run (``None`` keeps
-            the process default).
     """
 
     def __init__(
@@ -483,7 +450,6 @@ class SweepRunner:
         sweep: Union[SweepSpec, Sequence[SweepConfig]],
         workers: int = 0,
         cache_dir: Optional[str] = None,
-        solver: Optional[str] = None,
     ) -> None:
         if workers < 0:
             raise ValueError("workers must be non-negative")
@@ -492,7 +458,6 @@ class SweepRunner:
         )
         self.workers = workers
         self.cache_dir = cache_dir
-        self.solver = solver
         self._pool: Optional[PersistentWorkerPool] = None
 
     # ------------------------------------------------------------------ pool
@@ -634,11 +599,7 @@ class SweepRunner:
         """Simulate the cache misses in place; return per-config failures."""
         if self.workers <= 1:
             for index in misses:
-                result = run_config(
-                    self.configs[index],
-                    solver=self.solver,
-                    config_hash=hashes[index],
-                )
+                result = run_config(self.configs[index], config_hash=hashes[index])
                 self._cache_store(result)
                 results[index] = result
             return []
@@ -668,7 +629,6 @@ class SweepRunner:
             [hashes[i] for i in indices],
             indices,
             [slot_of[i] for i in indices],
-            self.solver,
             self.cache_dir,
             board.name,
             board.num_slots,
@@ -685,9 +645,7 @@ class SweepRunner:
         for index in indices:
             config = self.configs[index]
             try:
-                result = run_config(
-                    config, solver=self.solver, config_hash=hashes[index]
-                )
+                result = run_config(config, config_hash=hashes[index])
             except Exception as exc:  # noqa: BLE001 — structured error record
                 errors[index] = SweepError(
                     config=config.to_dict(),
@@ -837,8 +795,6 @@ class FoldedSweepRunner(SweepRunner):
         fold_width: Maximum configurations folded into one batch (per worker
             when sharded).
         cache_dir: Per-config result cache, as for :class:`SweepRunner`.
-        solver: Fluid-solver override; the native kernel folds in C, other
-            solvers fold through an equivalent per-network Python loop.
         workers: Worker processes; ``0`` or ``1`` folds inline.
         template_dir: Directory of the on-disk
             :class:`~repro.sweep.template.TemplateStore` (second tier of the
@@ -852,13 +808,10 @@ class FoldedSweepRunner(SweepRunner):
         sweep: Union[SweepSpec, Sequence[SweepConfig]],
         fold_width: int = 16,
         cache_dir: Optional[str] = None,
-        solver: Optional[str] = None,
         workers: int = 0,
         template_dir: Optional[str] = None,
     ) -> None:
-        super().__init__(
-            sweep, workers=workers, cache_dir=cache_dir, solver=solver
-        )
+        super().__init__(sweep, workers=workers, cache_dir=cache_dir)
         if fold_width < 1:
             raise ValueError("fold_width must be positive")
         self.fold_width = fold_width
@@ -932,7 +885,6 @@ class FoldedSweepRunner(SweepRunner):
                     template, source = entry
                     generator = iter_run_config(
                         self.configs[index],
-                        solver=self.solver,
                         config_hash=hashes[index],
                         template=template,
                     )
@@ -1018,9 +970,7 @@ class FoldedSweepRunner(SweepRunner):
         """Per-config fallback for stragglers that cannot run folded."""
         config = self.configs[index]
         try:
-            result = run_config(
-                config, solver=self.solver, config_hash=hashes[index]
-            )
+            result = run_config(config, config_hash=hashes[index])
         except Exception as exc:  # noqa: BLE001 — structured error record
             errors[index] = SweepError(
                 config=config.to_dict(),
@@ -1071,7 +1021,6 @@ class FoldedSweepRunner(SweepRunner):
             [hashes[i] for i in indices],
             indices,
             [slot_of[i] for i in indices],
-            self.solver,
             self.cache_dir,
             board.name,
             board.num_slots,

@@ -6,9 +6,11 @@ MixNet; ``block``, ``reuse`` and ``copilot``; failures ``none`` and
 ``stage_time_s`` and ``comm_bytes`` as exact float hex strings plus its
 executor event count.  The file was written before the flow plane became
 array-native (DESIGN.md §11) and must never be regenerated to make a test
-pass: the folded and the per-event paths now share one flow plane, so a
+pass: folded and unfolded runs now share one flow plane and one kernel, so a
 differential test between them cannot see a bug common to both, while a
-stored reference can.
+stored reference can.  Three legs must match it exactly: folded runs at
+workers 0 and 2, and the per-event scalar oracle with the kernel
+unavailable.
 
 Regenerate only for a deliberate, documented model change::
 
@@ -45,12 +47,8 @@ def fingerprint(result):
     ]
 
 
-def per_event_fingerprints():
-    """Every config through the per-event ``Executor.run`` loop."""
-    return {
-        config.config_hash(): fingerprint(run_config(config))
-        for config in GOLDEN_SPEC.expand()
-    }
+def fingerprints(results):
+    return {result.config_hash: fingerprint(result) for result in results}
 
 
 def load_golden():
@@ -68,13 +66,17 @@ def golden():
 @pytest.mark.parametrize("workers", [0, 2])
 def test_folded_path_matches_golden(golden, workers):
     with FoldedSweepRunner(GOLDEN_SPEC, workers=workers) as runner:
-        results = runner.run()
-    got = {result.config_hash: fingerprint(result) for result in results}
-    assert got == golden
+        assert fingerprints(runner.run()) == golden
 
 
-def test_per_event_path_matches_golden(golden):
-    assert per_event_fingerprints() == golden
+def test_per_event_path_matches_golden(golden, without_kernel):
+    """The scalar oracle, solving once per event through the per-event
+    primitives (as on a host without a C compiler), lands on the same bits
+    on this grid."""
+    with without_kernel():
+        results = [run_config(config) for config in GOLDEN_SPEC.expand()]
+    assert not any(result.solve_rounds for result in results)  # no kernel ran
+    assert fingerprints(results) == golden
 
 
 def test_folded_path_builds_no_flow_objects(golden, monkeypatch):
@@ -91,9 +93,7 @@ def test_folded_path_builds_no_flow_objects(golden, monkeypatch):
     monkeypatch.setattr(Flow, "make", forbidden)
     monkeypatch.setattr(FluidNetwork, "_origins", forbidden)
     clear_all_caches()  # no plan or template from an earlier test
-    results = FoldedSweepRunner(GOLDEN_SPEC).run()
-    got = {result.config_hash: fingerprint(result) for result in results}
-    assert got == golden
+    assert fingerprints(FoldedSweepRunner(GOLDEN_SPEC).run()) == golden
 
 
 if __name__ == "__main__":
@@ -101,7 +101,9 @@ if __name__ == "__main__":
         raise SystemExit(__doc__)
     payload = {
         "fields": ["iteration_time_s", "stage_time_s", "comm_bytes", "events"],
-        "configs": dict(sorted(per_event_fingerprints().items())),
+        "configs": dict(sorted(
+            fingerprints(FoldedSweepRunner(GOLDEN_SPEC).run()).items()
+        )),
     }
     with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=1, sort_keys=True)

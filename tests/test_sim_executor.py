@@ -5,6 +5,7 @@ import pytest
 from repro.fabric.base import RegionNetwork
 from repro.sim.dag import FlowSpec, RouteKind, TaskGraph
 from repro.sim.executor import Executor
+from repro.sim.flows import service_advance_requests
 
 
 def make_region(capacity_gbps: float = 8.0) -> RegionNetwork:
@@ -119,13 +120,13 @@ class TestReconfiguration:
 
 
 class TestEventAccounting:
-    """run() and iter_run() must consume identical event budgets.
+    """run()'s event budget, pinned.
 
-    Folded execution delegates flow events to the batched driver, which
-    charges them against ``max_events - events`` and reports steps consumed;
-    the ``events`` counter on the result pins the two accountings to each
-    other, and the budget must trip at exactly the same threshold on both
-    paths.
+    The executor delegates flow events to the batched driver, which charges
+    them against ``max_events - events`` and reports steps consumed; the
+    ``events`` counter on the result must not depend on how many executors
+    share a batch or on which solver runs, and the budget must trip at
+    exactly ``events``.
     """
 
     @staticmethod
@@ -142,27 +143,39 @@ class TestEventAccounting:
         return Executor(graph, make_region())
 
     def test_run_and_folded_events_identical(self):
+        """run() (a one-block batch) against two executors folded into one
+        batch: identical events, times and kernel counters."""
         reference = self._build().run()
-        folded = self._build().run_folded()
-        assert reference.events == folded.events > 0
-        assert folded.makespan == reference.makespan
-        assert folded.comm_bytes == reference.comm_bytes
+        generators = [self._build().iter_run() for _ in range(2)]
+        requests = [next(generator) for generator in generators]
+        folded = []
+        while requests:
+            outcomes = service_advance_requests(requests)
+            pending = []
+            for generator, outcome in zip(generators, outcomes):
+                try:
+                    pending.append((generator, generator.send(outcome)))
+                except StopIteration as stop:
+                    folded.append(stop.value)
+            generators = [generator for generator, _ in pending]
+            requests = [request for _, request in pending]
+        assert len(folded) == 2
+        for result in folded:
+            assert result.events == reference.events > 0
+            assert result.makespan == reference.makespan
+            assert result.comm_bytes == reference.comm_bytes
+            assert result.solve_rounds == reference.solve_rounds
+            assert result.rounds_replayed == reference.rounds_replayed
 
-    def test_max_events_budget_trips_at_same_threshold(self):
+    def test_max_events_budget_trips_at_same_threshold(self, without_kernel):
         events = self._build().run().events
-        # A budget of exactly `events` succeeds on both paths...
-        assert self._build().run(max_events=events).events == events
-        assert self._build().run_folded(max_events=events).events == events
-        # ...and one fewer raises on both.
-        with pytest.raises(RuntimeError, match="event budget"):
-            self._build().run(max_events=events - 1)
-        with pytest.raises(RuntimeError, match="event budget"):
-            self._build().run_folded(max_events=events - 1)
-
-    def test_counters_default_zero_on_unfolded_run(self):
-        result = self._build().run()
-        assert result.solve_rounds == 0
-        assert result.rounds_replayed == 0
+        for oracle in (False, True):
+            with without_kernel(oracle):
+                # A budget of exactly `events` succeeds on kernel and oracle...
+                assert self._build().run(max_events=events).events == events
+                # ...and one fewer raises on both.
+                with pytest.raises(RuntimeError, match="event budget"):
+                    self._build().run(max_events=events - 1)
 
 
 class TestErrorContext:
@@ -186,21 +199,21 @@ class TestErrorContext:
         graph.task("warmup").on_complete = darken
         return Executor(graph, region)
 
-    @pytest.mark.parametrize("drive", ["run", "run_folded"])
-    def test_deadlock_names_time_flows_and_tasks(self, drive):
-        with pytest.raises(RuntimeError) as info:
-            getattr(self._dark_path_executor(), drive)()
+    @pytest.mark.parametrize("drive", ["run", "oracle"])
+    def test_deadlock_names_time_flows_and_tasks(self, drive, without_kernel):
+        with pytest.raises(RuntimeError) as info, without_kernel(drive == "oracle"):
+            self._dark_path_executor().run()
         message = str(info.value)
         assert "deadlock" in message
         assert "t=0.25 s" in message
         assert "2 active flows" in message
         assert "unfinished tasks: xfer, after, last, ... (4 in all)" in message
 
-    @pytest.mark.parametrize("drive", ["run", "run_folded"])
-    def test_event_budget_names_time_flows_and_tasks(self, drive):
+    @pytest.mark.parametrize("drive", ["run", "oracle"])
+    def test_event_budget_names_time_flows_and_tasks(self, drive, without_kernel):
         executor = TestEventAccounting._build()
-        with pytest.raises(RuntimeError) as info:
-            getattr(executor, drive)(max_events=2)
+        with pytest.raises(RuntimeError) as info, without_kernel(drive == "oracle"):
+            executor.run(max_events=2)
         message = str(info.value)
         assert "maximum event budget (2)" in message
         assert "t=" in message and "active flows" in message

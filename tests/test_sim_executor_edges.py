@@ -136,8 +136,10 @@ class TestDeterminism:
         assert first.task_finish_times == second.task_finish_times
         assert first.makespan == second.makespan
 
-    @pytest.mark.parametrize("solver", ["scalar", "vectorized", "native"])
-    def test_solvers_agree_on_execution(self, solver):
+    @pytest.mark.parametrize("solver", ["scalar", "native"])
+    def test_solvers_agree_on_execution(self, solver, without_kernel):
+        """The kernel agrees with the scalar oracle (kernel unavailable) to
+        1e-9; the ``scalar`` leg pins the oracle against itself."""
         graph_spec = [
             (0.7e9, 0.4e9),
             (0.5e9, 0.9e9),
@@ -154,7 +156,8 @@ class TestDeterminism:
                     deps=[prev] if prev else [],
                 )
                 prev = comm.task_id
-            return Executor(graph, make_region(), solver=chosen).run()
+            with without_kernel(chosen == "scalar"):
+                return Executor(graph, make_region()).run()
 
         reference = run("scalar")
         other = run(solver)

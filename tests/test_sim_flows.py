@@ -141,124 +141,76 @@ class TestHelpers:
         assert usage == {"a": 15.0, "c": 10.0}
 
 
-class TestDenseRoundBoundary:
-    """Cross-solver differential at the heap->dense switchover.
+def random_network(num_flows):
+    """``num_flows`` single-flow admissions over 48 links of mixed capacity:
+    511/512/513 flows are the sizes the kernel tests drain."""
+    import random
 
-    The vectorized solver drives the bottleneck sequence with a share heap
-    below DENSE_ROUND_THRESHOLD active flows and with dense numpy
-    water-filling rounds at or above it; 511/512/513 flows straddle the
-    switch, so all three regimes must agree with the scalar reference (and
-    the native kernel, when compiled) on every rate.
-    """
+    rng = random.Random(1234)
+    region = RegionNetwork(servers=[0])
+    num_links = 48
+    link_ids = [f"l{i}" for i in range(num_links)]
+    for link_id in link_ids:
+        region.add_link(link_id, capacity_gbps=rng.choice([4.0, 8.0, 16.0]))
+    net = FluidNetwork(region)
+    for i in range(num_flows):
+        hops = rng.sample(link_ids, rng.randint(1, 3))
+        net.add_flow(Flow(f"f{i}", 1e6 * rng.randint(1, 50), hops))
+    return net
 
-    @staticmethod
-    def build_network(solver, num_flows):
-        import random
 
-        rng = random.Random(1234)
-        region = RegionNetwork(servers=[0])
-        num_links = 48
-        link_ids = [f"l{i}" for i in range(num_links)]
-        for link_id in link_ids:
-            region.add_link(link_id, capacity_gbps=rng.choice([4.0, 8.0, 16.0]))
-        net = FluidNetwork(region, solver=solver)
-        for i in range(num_flows):
-            hops = rng.sample(link_ids, rng.randint(1, 3))
-            net.add_flow(Flow(f"f{i}", 1e6 * rng.randint(1, 50), hops))
-        return net
+def native_or_skip():
+    from repro.sim._native import native_available
 
-    @pytest.mark.parametrize("num_flows", [511, 512, 513])
-    def test_solvers_agree_at_boundary(self, num_flows):
-        from repro.sim._native import native_available
-        from repro.sim.flows import DENSE_ROUND_THRESHOLD
-
-        assert DENSE_ROUND_THRESHOLD == 512  # the boundary this test straddles
-        reference = self.build_network("scalar", num_flows)
-        reference.compute_rates()
-        solvers = ["vectorized"] + (["native"] if native_available() else [])
-        for solver in solvers:
-            candidate = self.build_network(solver, num_flows)
-            candidate.compute_rates()
-            for flow_id, ref_flow in reference.flows.items():
-                rate = candidate.flows[flow_id].rate
-                assert rate == pytest.approx(ref_flow.rate, rel=1e-9), (
-                    solver, flow_id, num_flows,
-                )
-
-    @pytest.mark.parametrize("num_flows", [511, 513])
-    def test_advance_matches_across_boundary(self, num_flows):
-        """One completion step keeps the solvers in lockstep as retirements
-        cross the threshold from either side."""
-        reference = self.build_network("scalar", num_flows)
-        candidate = self.build_network("vectorized", num_flows)
-        for _ in range(3):
-            dt_ref = reference.time_to_next_completion()
-            dt_new = candidate.time_to_next_completion()
-            assert dt_new == pytest.approx(dt_ref, rel=1e-9)
-            done_ref = [f.flow_id for f in reference.advance(dt_ref)]
-            done_new = [f.flow_id for f in candidate.advance(dt_new)]
-            assert done_ref == done_new
+    if not native_available():
+        pytest.skip("native kernel unavailable")
 
 
 class TestNativeOOMFallback:
-    """WF_OOM must surface as a warning + Python fallback, never as silent
-    all-zero rates (which used to reappear later as a bogus executor
+    """WF_OOM must surface as a warning + scalar-oracle fallback, never as
+    silent all-zero rates (which used to reappear later as a bogus executor
     "deadlock" RuntimeError)."""
 
     class _OOMLib:
-        """Proxies the real kernel but reports scratch OOM from every entry."""
-
-        def __init__(self, real):
-            self._real = real
-
-        def __getattr__(self, name):
-            return getattr(self._real, name)
-
-        def waterfill(self, *args):
-            return 1  # WF_OOM
+        """Stands in for the kernel and reports scratch OOM."""
 
         def waterfill_batch(self, *args):
             return 1  # WF_OOM
 
+    @pytest.fixture
+    def oom_kernel(self, monkeypatch):
+        from repro.sim import _native
+
+        native_or_skip()
+        _, ffi = _native.native_lib()
+        monkeypatch.setattr(_native, "native_lib", lambda: (self._OOMLib(), ffi))
+
     @staticmethod
-    def _native_network():
-        from repro.sim._native import native_available
-
-        if not native_available():
-            pytest.skip("native kernel unavailable")
-        net = FluidNetwork(make_region(), solver="native")
-        assert net._native_ready()
-        return net
-
-    def test_solve_falls_back_with_warning(self):
-        net = self._native_network()
-        lib, ffi = net._native_loaded
-        net._native_loaded = (self._OOMLib(lib), ffi)
-        net.add_flow(Flow("f1", 1e9, ["a"]))
-        net.add_flow(Flow("f2", 1e9, ["a"]))
-        with pytest.warns(RuntimeWarning, match="could not allocate scratch"):
-            net.compute_rates()
-        # Correct rates from the Python solver, and the network is demoted so
-        # the failing allocation is not retried every solve.
-        assert net.flows["f1"].rate == pytest.approx(0.5e9)
-        assert net.flows["f2"].rate == pytest.approx(0.5e9)
-        assert net.solver == "vectorized"
-
-    def test_batched_advance_falls_back_with_warning(self):
-        from repro.sim.flows import FlowAdvanceRequest, service_advance_requests
-
-        reference = self._native_network()
-        reference.add_flow(Flow("f1", 1e9, ["a"]))
-        reference.add_flow(Flow("f2", 2e9, ["b"]))
-        expected = service_advance_requests(
-            [FlowAdvanceRequest(reference, now=0.0, budget=None)]
-        )[0]
-
-        net = self._native_network()
-        lib, ffi = net._native_loaded
-        net._native_loaded = (self._OOMLib(lib), ffi)
+    def _network():
+        net = FluidNetwork(make_region())
         net.add_flow(Flow("f1", 1e9, ["a"]))
         net.add_flow(Flow("f2", 2e9, ["b"]))
+        net.add_flow(Flow("f3", 1e9, ["a"]))
+        return net
+
+    def test_solve_falls_back_with_warning(self, oom_kernel):
+        net = self._network()
+        with pytest.warns(RuntimeWarning, match="could not allocate scratch"):
+            net.compute_rates()
+        # Correct rates from the scalar oracle.
+        assert net.flows["f1"].rate == pytest.approx(0.5e9)
+        assert net.flows["f2"].rate == pytest.approx(1e9)
+        assert net.flows["f3"].rate == pytest.approx(0.5e9)
+
+    def test_batched_advance_falls_back_with_warning(self, request):
+        from repro.sim.flows import FlowAdvanceRequest, service_advance_requests
+
+        native_or_skip()
+        expected = service_advance_requests(
+            [FlowAdvanceRequest(self._network(), now=0.0, budget=None)]
+        )[0]
+        request.getfixturevalue("oom_kernel")
+        net = self._network()
         with pytest.warns(RuntimeWarning, match="could not allocate scratch"):
             outcome = service_advance_requests(
                 [FlowAdvanceRequest(net, now=0.0, budget=None)]
@@ -268,121 +220,20 @@ class TestNativeOOMFallback:
         assert [f.flow_id for f in outcome.finished] == [
             f.flow_id for f in expected.finished
         ]
-
-class TestWarmStartBoundary:
-    """Warm-started waterfill_batch must replay the cold rounds exactly.
-
-    The incremental mode rebuilds each event's water-filling bookkeeping from
-    persistent per-block state (O(num_rows) memcpys) instead of from the CSR
-    (O(nnz)); the rounds it then runs consume identical counts, residuals and
-    bucket order, so every rate — and therefore every completion time and
-    ordering — must be bit-identical, not merely close.  511/512/513 flows
-    straddle the Python reference's heap->dense switch, pinning the native
-    kernel against both reference regimes.
-    """
-
-    @pytest.fixture(autouse=True)
-    def _reset_warm_start(self):
-        from repro.sim.flows import set_warm_start
-
-        yield
-        set_warm_start(None)
-
-    @staticmethod
-    def _native_or_skip():
-        from repro.sim._native import native_available
-
-        if not native_available():
-            pytest.skip("native kernel unavailable")
-
-    @staticmethod
-    def _drain(net):
-        """Full solve → completion → advance drain through one batched call."""
-        outcome = net.advance_through(0.0)
-        return (
-            outcome.now,
-            [flow.flow_id for flow in outcome.finished],
-            outcome.steps,
-            outcome.reason,
-        )
-
-    @pytest.mark.parametrize("num_flows", [511, 512, 513])
-    def test_warm_matches_cold_bit_exactly(self, num_flows):
-        from repro.sim.flows import set_warm_start
-
-        self._native_or_skip()
-        build = TestDenseRoundBoundary.build_network
-        set_warm_start(False)
-        cold_now, cold_order, cold_steps, cold_reason = self._drain(
-            build("native", num_flows)
-        )
-        set_warm_start(True)
-        warm_now, warm_order, warm_steps, warm_reason = self._drain(
-            build("native", num_flows)
-        )
-        assert warm_now == cold_now  # bit-exact, not approx
-        assert warm_order == cold_order
-        assert (warm_steps, warm_reason) == (cold_steps, cold_reason)
-        # Every flow drained (ties retire several per step), so the event
-        # count crossed the 512-active boundary from above.
-        assert len(cold_order) == num_flows
-
-    @pytest.mark.parametrize("num_flows", [511, 513])
-    def test_warm_agrees_with_python_reference(self, num_flows):
-        from repro.sim.flows import set_warm_start
-
-        self._native_or_skip()
-        build = TestDenseRoundBoundary.build_network
-        ref_now, ref_order, ref_steps, ref_reason = self._drain(
-            build("vectorized", num_flows)
-        )
-        set_warm_start(True)
-        warm_now, warm_order, warm_steps, warm_reason = self._drain(
-            build("native", num_flows)
-        )
-        assert warm_now == pytest.approx(ref_now, rel=1e-9)
-        assert warm_order == ref_order
-        assert (warm_steps, warm_reason) == (ref_steps, ref_reason)
-
-    def test_flag_plumbing(self, monkeypatch):
-        from repro.sim.flows import set_warm_start, warm_start_enabled
-
-        assert warm_start_enabled()  # default on
-        monkeypatch.setenv("REPRO_WATERFILL_WARM_START", "0")
-        assert not warm_start_enabled()
-        set_warm_start(True)  # explicit override beats the environment
-        assert warm_start_enabled()
-        set_warm_start(None)
-        assert not warm_start_enabled()
+        assert expected.solve_rounds > 0 and outcome.solve_rounds == 0
 
 
 class TestIncrementalReplay:
-    """The freeze-level replay mode must retrace the warm-start solve exactly.
+    """The kernel's freeze-level replay must retrace a full solve.
 
     Between consecutive events of a block only flow retirements change the
     water-filling inputs, and a retired flow was unfrozen during every round
     before its freeze level, so rounds below the minimum retired level are
     bit-identical and the kernel replays them from the recorded freeze order
     instead of re-running their argmin scans (DESIGN.md §10).  These tests
-    pin the mode against the warm-start and cold paths and the Python
-    references at the 511/512/513 heap->dense boundary, and check that the
-    replay actually engages.
+    drain 511/512/513-flow blocks against the scalar oracle and check that
+    the replay actually engages.
     """
-
-    @pytest.fixture(autouse=True)
-    def _reset_modes(self):
-        from repro.sim.flows import set_incremental, set_warm_start
-
-        yield
-        set_incremental(None)
-        set_warm_start(None)
-
-    @staticmethod
-    def _native_or_skip():
-        from repro.sim._native import native_available
-
-        if not native_available():
-            pytest.skip("native kernel unavailable")
 
     @staticmethod
     def _drain(net):
@@ -397,63 +248,35 @@ class TestIncrementalReplay:
         )
 
     @pytest.mark.parametrize("num_flows", [511, 512, 513])
-    def test_incremental_matches_warm_and_cold_bit_exactly(self, num_flows):
-        from repro.sim.flows import set_incremental, set_warm_start
-
-        self._native_or_skip()
-        build = TestDenseRoundBoundary.build_network
-        set_incremental(False)
-        set_warm_start(False)
-        cold = self._drain(build("native", num_flows))
-        set_warm_start(True)
-        warm = self._drain(build("native", num_flows))
-        set_incremental(True)
-        inc = self._drain(build("native", num_flows))
-        # now / finish order / steps / reason all bit-exact across modes.
-        assert inc[:4] == warm[:4] == cold[:4]
-        assert len(cold[1]) == num_flows  # the whole block drained
-        # The replay engaged and saved argmin scans: rounds inherited from
-        # the freeze record are > 0 and executed rounds strictly fewer than
-        # the warm-start path ran.
-        assert cold[5] == warm[5] == 0
-        assert inc[5] > 0
-        assert inc[4] < warm[4]
-
-    @pytest.mark.parametrize("num_flows", [511, 513])
-    def test_incremental_agrees_with_python_reference(self, num_flows):
-        from repro.sim.flows import set_incremental
-
-        self._native_or_skip()
-        build = TestDenseRoundBoundary.build_network
-        ref = self._drain(build("vectorized", num_flows))
-        set_incremental(True)
-        inc = self._drain(build("native", num_flows))
+    def test_incremental_agrees_with_python_reference(self, num_flows, without_kernel):
+        native_or_skip()
+        inc = self._drain(random_network(num_flows))
+        with without_kernel():
+            ref = self._drain(random_network(num_flows))
         assert inc[0] == pytest.approx(ref[0], rel=1e-9)
         assert inc[1] == ref[1]
         assert inc[2:4] == ref[2:4]
+        assert len(inc[1]) == num_flows  # the whole block drained
+        # The replay engaged: rounds were inherited from the freeze record.
+        assert inc[5] > 0
+        assert ref[4:] == (0, 0)
 
-    def test_incremental_survives_midstream_admission(self):
+    def test_incremental_survives_midstream_admission(self, without_kernel):
         """Admission between batched calls rebuilds the CSR; the freeze
         record is per-call state, so the second call must restart cold and
-        still match the Python reference."""
-        from repro.sim.flows import (
-            FlowAdvanceRequest,
-            service_advance_requests,
-            set_incremental,
-        )
+        still match the scalar oracle."""
+        from repro.sim.flows import FlowAdvanceRequest, service_advance_requests
 
-        self._native_or_skip()
-        set_incremental(True)
-        net = TestDenseRoundBoundary.build_network("native", 64)
-        reference = TestDenseRoundBoundary.build_network("vectorized", 64)
-        traces = []
-        for candidate in (net, reference):
-            trace = []
+        native_or_skip()
+
+        def trace():
+            candidate = random_network(64)
+            steps = []
             # First batched span stops mid-block on the step budget...
             outcome = service_advance_requests(
                 [FlowAdvanceRequest(candidate, now=0.0, budget=20)]
             )[0]
-            trace.append((outcome.now, [f.flow_id for f in outcome.finished],
+            steps.append((outcome.now, [f.flow_id for f in outcome.finished],
                           outcome.steps, outcome.reason))
             # ...then an admission rebuilds the CSR mid-stream...
             candidate.add_flow(Flow("late", 5e7, ["l0", "l1"]))
@@ -461,10 +284,13 @@ class TestIncrementalReplay:
             outcome = service_advance_requests(
                 [FlowAdvanceRequest(candidate, now=outcome.now, budget=None)]
             )[0]
-            trace.append((outcome.now, [f.flow_id for f in outcome.finished],
+            steps.append((outcome.now, [f.flow_id for f in outcome.finished],
                           outcome.steps, outcome.reason))
-            traces.append(trace)
-        native_trace, ref_trace = traces
+            return steps
+
+        native_trace = trace()
+        with without_kernel():
+            ref_trace = trace()
         for (now_n, done_n, steps_n, why_n), (now_r, done_r, steps_r, why_r) in zip(
             native_trace, ref_trace
         ):
@@ -472,17 +298,6 @@ class TestIncrementalReplay:
             assert done_n == done_r
             assert (steps_n, why_n) == (steps_r, why_r)
         assert "late" in native_trace[1][1]
-
-    def test_flag_plumbing(self, monkeypatch):
-        from repro.sim.flows import incremental_enabled, set_incremental
-
-        assert incremental_enabled()  # default on
-        monkeypatch.setenv("REPRO_WATERFILL_INCREMENTAL", "0")
-        assert not incremental_enabled()
-        set_incremental(True)  # explicit override beats the environment
-        assert incremental_enabled()
-        set_incremental(None)
-        assert not incremental_enabled()
 
 
 class TestCompileRace:
@@ -544,6 +359,58 @@ class TestCompileRace:
         assert len(self._SlowFakeFFI.builds) == 1  # loser adopted, not rebuilt
 
 
+class TestKernelBuildFailure:
+    """A host without a working C compiler gets one RuntimeWarning naming
+    the build error, and the simulator runs on the scalar oracle."""
+
+    SCRIPT = """
+import json
+import warnings
+
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    from repro.sim._native import native_available
+    from repro.sweep import FoldedSweepRunner, SweepSpec
+
+    available = native_available()
+    spec = SweepSpec(fabrics=["MixNet"], models=["Mixtral-8x7B"], num_servers=16)
+    results = FoldedSweepRunner(spec).run()
+print(json.dumps({
+    "available": available,
+    "warnings": [str(w.message) for w in caught
+                 if issubclass(w.category, RuntimeWarning)],
+    "iteration_time_s": [r.iteration_time_s for r in results],
+    "solve_rounds": [r.solve_rounds for r in results],
+}))
+"""
+
+    def test_build_failure_warns_once_and_falls_back(self, tmp_path):
+        import json
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, CC="/nonexistent-cc", TMPDIR=str(tmp_path),
+                   PYTHONPATH=src)
+        env.pop("REPRO_NATIVE_CFLAGS", None)
+        completed = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT], env=env, capture_output=True,
+            text=True, timeout=300, check=True,
+        )
+        report = json.loads(completed.stdout.splitlines()[-1])
+        assert report["available"] is False
+        assert len(report["warnings"]) == 1, report["warnings"]
+        warning = report["warnings"][0]
+        assert "native fluid kernel unavailable" in warning
+        assert "Error: " in warning  # the exception's type...
+        assert "nonexistent-cc" in warning  # ...and its own message
+        assert "scalar oracle" in warning
+        assert len(report["iteration_time_s"]) == 1
+        assert report["iteration_time_s"][0] > 0
+        assert report["solve_rounds"] == [0]  # the oracle ran, not a kernel
+
+
 class TestFlowAdapter:
     """The Flow objects the network hands out are views onto its arrays.
 
@@ -586,11 +453,11 @@ class TestFlowAdapter:
             assert entry[3] == pytest.approx(reference[3], rel=1e-9, abs=1e-6)
             assert entry[4] == pytest.approx(reference[4], rel=1e-9)
 
-    def _drive(self, solver):
+    def _drive(self):
         from repro.sim.flows import FlowAdvanceRequest, service_advance_requests
 
         region = self._region()
-        net = FluidNetwork(region, solver=solver)
+        net = FluidNetwork(region)
         seen = []
         # Paths are shared lists, as the executor shares one per route.
         ac, bd = ["a", "c"], ["b", "d"]
@@ -613,10 +480,10 @@ class TestFlowAdapter:
         seen.append(self._snapshot(net.flows.values()))
         return seen
 
-    @pytest.mark.parametrize("solver", ["vectorized", "native"])
-    def test_views_agree_with_scalar_oracle(self, solver):
-        reference = self._drive("scalar")
-        got = self._drive(solver)
+    def test_views_agree_with_scalar_oracle(self, without_kernel):
+        with without_kernel():
+            reference = self._drive()
+        got = self._drive()
         assert reference[0][0][0] == "t1/f0"  # ids made on demand
         assert [entry[0] for entry in reference[0]] == [
             "t1/f0", "t1/f1", "t1/f2", "x", "y",
@@ -649,30 +516,32 @@ class TestArrayRetirement:
     """Retirement by mask and group counts, checked against the scalar
     oracle's per-event path: simultaneous group drains are reported in the
     order each group's last flow retired, and compaction (slots dropped
-    once retired ones dominate) keeps flow order and group counts."""
+    once retired ones dominate) keeps flow order and group counts.  The
+    ``scalar`` legs run with the kernel unavailable."""
 
     @staticmethod
-    def _network(solver, num_links):
+    def _network(num_links):
         region = RegionNetwork(servers=[0])
         for index in range(num_links):
             region.add_link(f"l{index}", capacity_gbps=8.0)  # 1e9 B/s
-        return FluidNetwork(region, solver=solver)
+        return FluidNetwork(region)
 
-    @pytest.mark.parametrize("solver", ["scalar", "vectorized", "native"])
-    def test_simultaneous_drains_in_last_flow_order(self, solver):
-        net = self._network(solver, 4)
+    @pytest.mark.parametrize("solver", ["scalar", "native"])
+    def test_simultaneous_drains_in_last_flow_order(self, solver, without_kernel):
+        net = self._network(4)
         # Group A holds slots 0 and 3, group B slots 1 and 2; all four flows
         # finish in the same event, so B (last flow in slot 2) drains first.
         net.add_flow(Flow("a0", 1e8, ["l0"]), group="A")
         net.add_flows([Flow("b0", 1e8, ["l1"]), Flow("b1", 1e8, ["l2"])], group="B")
         net.add_flow(Flow("a1", 1e8, ["l3"]), group="A")
-        outcome = net.advance_through(0.0)
+        with without_kernel(solver == "scalar"):
+            outcome = net.advance_through(0.0)
         assert (outcome.reason, outcome.steps) == ("group", 1)
         assert [f.flow_id for f in outcome.finished] == ["a0", "b0", "b1", "a1"]
         assert net.consume_drained_groups() == ["B", "A"]
 
-    def _trace(self, solver):
-        net = self._network(solver, 11)
+    def _trace(self):
+        net = self._network(11)
         net.add_flow(Flow("tiny", 1e6, ["l0"]), group="G0")
         net.add_flows(
             [Flow(f"g1.{i}", (i + 1) * 1e7, [f"l{i + 1}"]) for i in range(8)],
@@ -689,16 +558,17 @@ class TestArrayRetirement:
                           outcome.reason, net.consume_drained_groups()))
         return net, trace
 
-    @pytest.mark.parametrize("solver", ["vectorized", "native"])
-    def test_compaction_keeps_order_and_groups(self, solver):
-        _, reference = self._trace("scalar")
-        net, got = self._trace(solver)
+    @pytest.mark.parametrize("solver", ["scalar", "native"])
+    def test_compaction_keeps_order_and_groups(self, solver, without_kernel):
+        with without_kernel():
+            _, reference = self._trace()
+        with without_kernel(solver == "scalar"):
+            net, got = self._trace()
         assert [entry[2] for entry in reference] == ["group", "steps", "group", "group"]
         assert [entry[3] for entry in reference] == [["G0"], [], ["G1"], ["G2"]]
         for (now, done, reason, drained), expected in zip(got, reference):
             assert now == pytest.approx(expected[0], rel=1e-12)
             assert (done, reason, drained) == expected[1:]
-        if net.solver == "native":
-            # The third call compacted the 11 slots down to the 4 live
-            # flows, dropping the drained G0 group slot.
-            assert net._epoch == 2 and net._n == 4 and net._live == 0
+        # The third call compacted the 11 slots down to the 4 live flows,
+        # dropping the drained G0 group slot.
+        assert net._epoch == 2 and net._n == 4 and net._live == 0

@@ -1,7 +1,8 @@
 """Property-based and differential tests for the fluid rate solvers.
 
-Max–min fairness invariants checked on randomised topologies, against every
-solver implementation:
+Max–min fairness invariants checked on randomised topologies, against both
+solvers — the compiled kernel and the scalar oracle (run with the kernel
+unavailable):
 
 * feasibility — no link carries more than its capacity;
 * bottleneck structure — every finite-rate flow crosses a saturated link on
@@ -9,43 +10,52 @@ solver implementation:
 * scale equivariance — scaling all capacities scales all rates;
 * leximin monotonicity — raising one link's capacity can only improve the
   sorted rate vector lexicographically;
-* differential agreement — all solvers agree with the scalar reference to
-  1e-9 relative on randomised topologies, including the dense-matrix rounds
-  the vectorized solver uses above its size threshold.
+* differential agreement — the kernel agrees with the oracle to 1e-9
+  relative on randomised topologies, for one solve and through a whole
+  add/advance lifecycle.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.fabric.base import RegionNetwork
-from repro.sim import flows as flows_mod
 from repro.sim.flows import Flow, FluidNetwork
 
-#: Solver implementations under test.  ``native`` silently degrades to
-#: ``vectorized`` when no compiler is available, which keeps the suite
-#: meaningful (and green) everywhere.
-ALL_SOLVERS = ("scalar", "vectorized", "native")
+#: The solvers under test.  Without a compiler both are the oracle, which
+#: keeps the suite meaningful (and green) everywhere.
+ALL_SOLVERS = ("scalar", "native")
 
 RELATIVE_TOLERANCE = 1e-9
 
+#: ``without_kernel`` only hands out a context manager, so sharing it across
+#: hypothesis examples is safe.
+FIXTURE_OK = [HealthCheck.function_scoped_fixture]
+
 
 # --------------------------------------------------------------------- helpers
-def build_network(capacities, paths, solver):
+def build_network(capacities, paths):
     """A region with links l0..lN and one flow per path."""
     region = RegionNetwork(servers=[0])
     for index, capacity in enumerate(capacities):
         region.add_link(f"l{index}", capacity_gbps=capacity)
-    network = FluidNetwork(region, solver=solver)
+    network = FluidNetwork(region)
     for index, path in enumerate(paths):
         network.add_flow(Flow(f"f{index}", 1e9, [f"l{link}" for link in path]))
     return region, network
 
 
-def solved_rates(capacities, paths, solver):
-    _, network = build_network(capacities, paths, solver)
-    network.compute_rates()
-    return [network.flows[f"f{index}"].rate for index in range(len(paths))]
+@pytest.fixture
+def solved_rates(without_kernel):
+    """``solved_rates(capacities, paths, solver)``: each flow's rate."""
+
+    def solve(capacities, paths, solver):
+        _, network = build_network(capacities, paths)
+        with without_kernel(solver == "scalar"):
+            network.compute_rates()
+        return [network.flows[f"f{index}"].rate for index in range(len(paths))]
+
+    return solve
 
 
 def assert_close(left, right, context=""):
@@ -76,9 +86,10 @@ def _random_topology(seed):
 
 
 # ------------------------------------------------------------------ invariants
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=FIXTURE_OK)
 @given(topology=topologies, solver=st.sampled_from(ALL_SOLVERS))
-def test_no_link_oversubscribed(topology, solver):
+def test_no_link_oversubscribed(solved_rates, topology, solver):
     capacities, paths = topology
     rates = solved_rates(capacities, paths, solver)
     load = {}
@@ -90,9 +101,10 @@ def test_no_link_oversubscribed(topology, solver):
         assert total <= capacity * (1 + RELATIVE_TOLERANCE) + 1e-3
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=FIXTURE_OK)
 @given(topology=topologies, solver=st.sampled_from(ALL_SOLVERS))
-def test_every_flow_has_a_saturated_bottleneck(topology, solver):
+def test_every_flow_has_a_saturated_bottleneck(solved_rates, topology, solver):
     capacities, paths = topology
     rates = solved_rates(capacities, paths, solver)
     load = {}
@@ -115,13 +127,14 @@ def test_every_flow_has_a_saturated_bottleneck(topology, solver):
         assert has_bottleneck, f"flow on {path} (rate {rate}) has no bottleneck"
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=FIXTURE_OK)
 @given(
     topology=topologies,
     solver=st.sampled_from(ALL_SOLVERS),
     factor=st.floats(min_value=1.1, max_value=16.0),
 )
-def test_rates_scale_with_capacity(topology, solver, factor):
+def test_rates_scale_with_capacity(solved_rates, topology, solver, factor):
     capacities, paths = topology
     base = solved_rates(capacities, paths, solver)
     scaled = solved_rates([c * factor for c in capacities], paths, solver)
@@ -130,13 +143,14 @@ def test_rates_scale_with_capacity(topology, solver, factor):
             assert b == pytest.approx(a * factor, rel=1e-9, abs=1e-3)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=FIXTURE_OK)
 @given(
     topology=topologies,
     solver=st.sampled_from(ALL_SOLVERS),
     data=st.data(),
 )
-def test_leximin_monotone_under_capacity_increase(topology, solver, data):
+def test_leximin_monotone_under_capacity_increase(solved_rates, topology, solver, data):
     """Raising one link's capacity lexicographically improves sorted rates.
 
     (Individual rates are *not* monotone — a faster side link can steal share
@@ -159,87 +173,42 @@ def test_leximin_monotone_under_capacity_increase(topology, solver, data):
 
 
 # ---------------------------------------------------------------- differential
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=FIXTURE_OK)
 @given(topology=topologies)
-def test_solvers_agree_with_scalar_reference(topology):
+def test_solvers_agree_with_scalar_reference(solved_rates, topology):
     capacities, paths = topology
-    reference = solved_rates(capacities, paths, "scalar")
-    for solver in ("vectorized", "native"):
-        assert_close(
-            solved_rates(capacities, paths, solver),
-            reference,
-            context=f" ({solver} vs scalar)",
-        )
+    assert_close(
+        solved_rates(capacities, paths, "native"),
+        solved_rates(capacities, paths, "scalar"),
+        context=" (kernel vs oracle)",
+    )
 
 
-def test_dense_rounds_agree_with_scalar_reference(monkeypatch):
-    """Force the vectorized solver's dense-matrix path and diff it."""
-    monkeypatch.setattr(flows_mod, "DENSE_ROUND_THRESHOLD", 0)
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        capacities, paths = _random_topology(int(rng.integers(0, 2**32)))
-        assert_close(
-            solved_rates(capacities, paths, "vectorized"),
-            solved_rates(capacities, paths, "scalar"),
-            context=" (dense vs scalar)",
-        )
-
-
-def test_differential_through_progression():
-    """Both incremental solvers track the scalar reference through a whole
-    add/advance/remove lifecycle, not just a single solve."""
+def test_differential_through_progression(without_kernel):
+    """The kernel tracks the oracle through a whole add/advance lifecycle,
+    not just a single solve."""
     rng = np.random.default_rng(1234)
     for trial in range(10):
         capacities, paths = _random_topology(int(rng.integers(0, 2**32)))
         networks = {
-            solver: build_network(capacities, paths, solver)[1]
-            for solver in ALL_SOLVERS
+            solver: build_network(capacities, paths)[1] for solver in ALL_SOLVERS
         }
         for step in range(40):
-            reference = networks["scalar"]
-            dt = reference.time_to_next_completion()
-            for solver in ("vectorized", "native"):
-                other_dt = networks[solver].time_to_next_completion()
-                if dt is None:
-                    assert other_dt is None
-                else:
-                    assert other_dt == pytest.approx(dt, rel=1e-9)
-            if dt is None:
+            dts, finished, counts = {}, {}, {}
+            for solver, network in networks.items():
+                with without_kernel(solver == "scalar"):
+                    dts[solver] = dt = network.time_to_next_completion()
+                    if dt is not None:
+                        finished[solver] = sorted(
+                            f.flow_id for f in network.advance(dt)
+                        )
+                counts[solver] = network.active_flow_count()
+            if dts["scalar"] is None:
+                assert dts["native"] is None
                 break
-            finished = {
-                solver: sorted(f.flow_id for f in network.advance(dt))
-                for solver, network in networks.items()
-            }
-            assert finished["vectorized"] == finished["scalar"]
+            assert dts["native"] == pytest.approx(dts["scalar"], rel=1e-9)
             assert finished["native"] == finished["scalar"]
-            counts = {s: n.active_flow_count() for s, n in networks.items()}
-            assert counts["vectorized"] == counts["scalar"]
             assert counts["native"] == counts["scalar"]
             if counts["scalar"] == 0:
                 break
-
-
-def test_invalid_solver_rejected():
-    region = RegionNetwork(servers=[0])
-    with pytest.raises(ValueError):
-        FluidNetwork(region, solver="quantum")
-    with pytest.raises(ValueError):
-        flows_mod.set_default_solver("quantum")
-
-
-def test_default_solver_env(monkeypatch):
-    monkeypatch.setenv("REPRO_FLUID_SOLVER", "scalar")
-    flows_mod.set_default_solver(None)
-    region = RegionNetwork(servers=[0])
-    assert FluidNetwork(region).solver == "scalar"
-    monkeypatch.delenv("REPRO_FLUID_SOLVER")
-    assert FluidNetwork(region).solver in ("native", "vectorized")
-
-
-def test_misspelled_solver_env_rejected(monkeypatch):
-    """A typo'd REPRO_FLUID_SOLVER must fail loudly, not silently fall back
-    (a differential run would otherwise compare a solver against itself)."""
-    monkeypatch.setenv("REPRO_FLUID_SOLVER", "vectorised")
-    flows_mod.set_default_solver(None)
-    with pytest.raises(ValueError, match="REPRO_FLUID_SOLVER"):
-        FluidNetwork(RegionNetwork(servers=[0]))

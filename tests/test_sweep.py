@@ -147,17 +147,19 @@ class TestRunner:
         baseline, failed = results
         assert failed.iteration_time_s >= baseline.iteration_time_s
 
-    def test_solver_override_matches_default(self):
+    def test_oracle_matches_kernel(self, without_kernel):
         config = SweepConfig(fabric="MixNet", model="Mixtral-8x7B")
         default = run_config(config)
-        scalar = run_config(config, solver="scalar")
+        with without_kernel():
+            scalar = run_config(config)
         assert scalar.iteration_time_s == pytest.approx(
             default.iteration_time_s, rel=1e-9
         )
+        assert default.solve_rounds > 0 and scalar.solve_rounds == 0
 
     def test_auto_engine_defers_to_process_default(self, monkeypatch):
         """A config's "auto" engine reaches Algorithm 1 as None (deferring to
-        REPRO_RECONFIG_ENGINE / set_default_engine, like fluid_solver=None);
+        REPRO_RECONFIG_ENGINE / set_default_engine);
         an explicit engine pins it."""
         import repro.core.controller as controller_mod
 

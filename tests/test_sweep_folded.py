@@ -20,7 +20,6 @@ from repro.sweep.runner import (
     SweepError,
     SweepRunError,
     SweepRunner,
-    _worker,
 )
 
 # Mixed grid: both fabrics, both policies, a failure scenario — every
@@ -43,11 +42,12 @@ IDENTICAL_FIELDS = (
     "comm_bytes",
     "compute_time_s",
     "tokens_per_second",
-    # Event counts are part of the equivalence contract: run() and
-    # iter_run() must consume identical event budgets (the round counters
-    # are deliberately absent — they are mode-dependent observability,
-    # like the phase timings).
+    # Event and round counts are part of the equivalence contract: folded
+    # and unfolded runs drive every config through the same kernel, one
+    # block per config (only the phase timings differ).
     "events",
+    "solve_rounds",
+    "rounds_replayed",
 )
 
 
@@ -66,19 +66,26 @@ class TestFoldedEquivalence:
     def test_bit_identical_on_mixed_grid(self, unfolded_results):
         folded = FoldedSweepRunner(MIXED_SPEC).run()
         assert_bit_identical(unfolded_results, folded)
+        # The counters compared above are live: the replay engaged.
+        assert sum(r.rounds_replayed for r in unfolded_results) > 0
 
     def test_fold_width_does_not_change_results(self, unfolded_results):
         for width in (1, 3):
             folded = FoldedSweepRunner(MIXED_SPEC, fold_width=width).run()
             assert_bit_identical(unfolded_results, folded)
 
-    def test_scalar_solver_folds_through_python_loop(self, unfolded_results):
-        folded = FoldedSweepRunner(MIXED_SPEC, solver="scalar").run()
+    def test_scalar_solver_folds_through_python_loop(
+        self, unfolded_results, without_kernel
+    ):
+        with without_kernel():
+            folded = FoldedSweepRunner(MIXED_SPEC).run()
         for a, b in zip(unfolded_results, folded):
             assert a.config_hash == b.config_hash
             assert b.iteration_time_s == pytest.approx(
                 a.iteration_time_s, rel=1e-9
             )
+            assert b.events == a.events
+            assert b.solve_rounds == 0  # the oracle ran, not the kernel
 
     def test_write_through_caching(self, unfolded_results, tmp_path):
         cache = str(tmp_path / "cache")
@@ -96,52 +103,20 @@ class TestFoldedEquivalence:
 
 
 class TestIncrementalEquivalence:
-    """The incremental freeze-level replay kernel is a pure performance
+    """The kernel's freeze-level replay is a pure performance
     transformation: folded results on the mixed failure grid are
-    bit-identical with the mode on, off (warm-start fallback), and across
-    fold widths, and the replay actually engages (rounds_replayed > 0)."""
-
-    @pytest.fixture(autouse=True)
-    def _reset_incremental(self):
-        from repro.sim.flows import set_incremental
-
-        yield
-        set_incremental(None)
+    bit-identical across fold widths, and the replay actually engages
+    (rounds_replayed > 0) at every width."""
 
     @pytest.fixture(scope="class")
     def unfolded_results(self):
         return SweepRunner(MIXED_SPEC, workers=0).run()
 
-    def test_incremental_off_matches_on_mixed_grid(self, unfolded_results):
-        from repro.sim.flows import set_incremental
-
-        set_incremental(False)
-        folded_off = FoldedSweepRunner(MIXED_SPEC).run()
-        set_incremental(True)
-        folded_on = FoldedSweepRunner(MIXED_SPEC).run()
-        assert_bit_identical(unfolded_results, folded_off)
-        assert_bit_identical(unfolded_results, folded_on)
-        # The fallback path really did avoid the replay machinery, and the
-        # incremental path really did inherit rounds from the freeze record.
-        assert all(r.rounds_replayed == 0 for r in folded_off)
-        assert sum(r.rounds_replayed for r in folded_on) > 0
-
     def test_fold_width_variance_with_incremental(self, unfolded_results):
-        from repro.sim.flows import set_incremental
-
-        set_incremental(True)
         for width in (1, 3):
             folded = FoldedSweepRunner(MIXED_SPEC, fold_width=width).run()
             assert_bit_identical(unfolded_results, folded)
-
-    def test_env_flag_disables_incremental(self, monkeypatch):
-        from repro.sim.flows import incremental_enabled
-
-        assert incremental_enabled()  # default on
-        monkeypatch.setenv("REPRO_WATERFILL_INCREMENTAL", "0")
-        assert not incremental_enabled()
-        folded = FoldedSweepRunner(MIXED_SPEC).run()
-        assert all(r.rounds_replayed == 0 for r in folded)
+            assert sum(r.rounds_replayed for r in folded) > 0
 
 
 class TestFoldedFallback:
@@ -154,10 +129,10 @@ class TestFoldedFallback:
         victim = expected[1].config_hash
         real = runner_mod.iter_run_config
 
-        def sabotaged(config, solver=None, config_hash=None):
+        def sabotaged(config, config_hash=None, template=None):
             if config_hash == victim:
                 raise RuntimeError("injected straggler")
-            return real(config, solver=solver, config_hash=config_hash)
+            return real(config, config_hash=config_hash, template=template)
 
         monkeypatch.setattr(runner_mod, "iter_run_config", sabotaged)
         folded = FoldedSweepRunner(spec).run()
@@ -174,15 +149,15 @@ class TestFoldedFallback:
         real_iter = runner_mod.iter_run_config
         real_run = runner_mod.run_config
 
-        def bad_iter(config, solver=None, config_hash=None):
+        def bad_iter(config, config_hash=None, template=None):
             if config_hash == victim:
                 raise RuntimeError("injected fold failure")
-            return real_iter(config, solver=solver, config_hash=config_hash)
+            return real_iter(config, config_hash=config_hash, template=template)
 
-        def bad_run(config, solver=None, config_hash=None):
+        def bad_run(config, config_hash=None):
             if config_hash == victim:
                 raise RuntimeError("injected fallback failure")
-            return real_run(config, solver=solver, config_hash=config_hash)
+            return real_run(config, config_hash=config_hash)
 
         monkeypatch.setattr(runner_mod, "iter_run_config", bad_iter)
         monkeypatch.setattr(runner_mod, "run_config", bad_run)
@@ -198,14 +173,6 @@ class TestFoldedFallback:
 
 
 class TestParallelCrashSafety:
-    def test_worker_returns_structured_error_payload(self):
-        """The pool entry point tags failures instead of raising, so one bad
-        config cannot tear down the imap_unordered stream."""
-        index, payload = _worker((7, {"fabric": "not-a-fabric"}, "deadbeef", None))
-        assert index == 7
-        assert "__error__" in payload
-        assert payload["config_hash"] == "deadbeef"
-
     @pytest.mark.skipif(sys.platform == "win32", reason="requires fork")
     def test_one_crash_does_not_lose_completed_work(self, monkeypatch, tmp_path):
         """Completed results are cached as they arrive; the failure surfaces
@@ -218,10 +185,10 @@ class TestParallelCrashSafety:
         victim = hashes[0]
         real_run = runner_mod.run_config
 
-        def bad_run(config, solver=None, config_hash=None):
+        def bad_run(config, config_hash=None):
             if config_hash == victim:
                 raise RuntimeError("injected worker crash")
-            return real_run(config, solver=solver, config_hash=config_hash)
+            return real_run(config, config_hash=config_hash)
 
         monkeypatch.setattr(runner_mod, "run_config", bad_run)
         cache = tmp_path / "cache"

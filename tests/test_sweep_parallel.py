@@ -245,10 +245,10 @@ class TestParallelEquivalence:
         victim = expected[0].config_hash
         real = runner_mod.run_config
 
-        def bad_run(config, solver=None, config_hash=None):
+        def bad_run(config, config_hash=None):
             if config_hash == victim:
                 raise RuntimeError("injected per-config failure")
-            return real(config, solver=solver, config_hash=config_hash)
+            return real(config, config_hash=config_hash)
 
         monkeypatch.setattr(runner_mod, "run_config", bad_run)
         with pytest.raises(SweepRunError) as excinfo:
@@ -265,10 +265,10 @@ class TestShardedCrashSalvage:
         """Kills a forked worker at the victim config; harmless in the
         parent, so inline salvage recomputes the real result."""
 
-        def wrapper(config, solver=None, config_hash=None):
+        def wrapper(config, config_hash=None, **kwargs):
             if config_hash == victim and os.getpid() != parent_pid:
                 os._exit(23)
-            return real(config, solver=solver, config_hash=config_hash)
+            return real(config, config_hash=config_hash, **kwargs)
 
         return wrapper
 

@@ -126,7 +126,7 @@ class TestTemplatedDifferential:
 
         config = SweepConfig(fabric="MixNet", model="Mixtral-8x7B",
                              num_servers=16)
-        model, cluster, fabric, options = _materialise(config, None)
+        model, cluster, fabric, options = _materialise(config)
         clear_template_cache()
         template, _ = get_template(config.structural_key())
 
