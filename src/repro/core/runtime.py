@@ -37,7 +37,6 @@ from repro.core.failures import (
 )
 from repro.core.reconfigure import CircuitAllocation
 from repro.fabric.base import Fabric, RegionNetwork
-from repro.fabric.mixnet import MixNetFabric, MixNetRegionNetwork
 from repro.fabric.topoopt import TopoOptFabric
 from repro.moe.gate import GateSimulator
 from repro.moe.models import MoEModelConfig
@@ -149,6 +148,12 @@ def clear_runtime_caches() -> None:
 @dataclass
 class RuntimeOptions:
     """Knobs of the training-iteration simulation.
+
+    ``first_a2a_policy``, ``reconfiguration_delay_s`` and
+    ``reconfig_engine`` are read only by the regional topology controller,
+    which is built only on a ``reconfigurable`` fabric (MixNet); static
+    fabrics give identical results for every value of the three, which is
+    why the sweep runner simulates such configs once (DESIGN.md §12).
 
     Attributes:
         first_a2a_policy: How MixNet handles the forward pass's first
@@ -445,7 +450,7 @@ class TrainingSimulator:
         apply_effects_to_region(region, effects)
 
         controller: Optional[RegionalTopologyController] = None
-        if isinstance(self.fabric, MixNetFabric) and isinstance(region, MixNetRegionNetwork):
+        if self.fabric.reconfigurable:
             controller = RegionalTopologyController(
                 region,
                 self.cluster,

@@ -74,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "is set; pass an empty string to disable)")
     parser.add_argument("--profile", action="store_true",
                         help="print a per-config phase breakdown "
-                             "(setup/solve/advance/store) and template-source "
-                             "counts after the run")
+                             "(setup/solve/advance/store), shared-result and "
+                             "template-source counts after the run")
     parser.add_argument("--reconfig-engines", nargs="+", default=["auto"],
                         choices=list(ENGINES), metavar="ENGINE",
                         help=f"Algorithm 1 reconfiguration engines to sweep "

@@ -59,13 +59,21 @@ class PhaseAccumulator:
             setattr(result, name, getattr(self, name))
 
 
+def _simulated(result) -> bool:
+    """Whether this run simulated ``result`` (not a cache hit, not a copy)."""
+    return not (
+        getattr(result, "from_cache", False) or getattr(result, "shared_from", None)
+    )
+
+
 def summarize_phases(results: Sequence[object]) -> Dict[str, object]:
     """Aggregate phase means and template-source counts over a result set.
 
     Cached results (``from_cache``) are excluded from the means — they carry
-    the phases of the run that computed them, not of this run.
+    the phases of the run that computed them, not of this run — and so are
+    copies of another config's simulation (``shared_from``), which took none.
     """
-    fresh = [result for result in results if not getattr(result, "from_cache", False)]
+    fresh = [result for result in results if _simulated(result)]
     sources: Dict[str, int] = {}
     for result in results:
         source = getattr(result, "template_source", "none")
@@ -73,6 +81,9 @@ def summarize_phases(results: Sequence[object]) -> Dict[str, object]:
     summary: Dict[str, object] = {
         "num_results": len(results),
         "num_fresh": len(fresh),
+        "num_shared": sum(
+            1 for result in results if getattr(result, "shared_from", None)
+        ),
         "template_sources": sources,
     }
     for name in PHASE_FIELDS:
@@ -92,6 +103,9 @@ def format_profile(results: Sequence[object]) -> List[str]:
         if getattr(result, "from_cache", False):
             lines.append(f"{result.config_hash:24s}  {'(cached)':>9s}")
             continue
+        if getattr(result, "shared_from", None):
+            lines.append(f"{result.config_hash:24s}  {'(shared)':>9s}")
+            continue
         lines.append(
             f"{result.config_hash:24s}  {result.setup_s:9.4f} "
             f"{result.solve_s:9.4f} {result.advance_s:9.4f} "
@@ -106,9 +120,7 @@ def format_profile(results: Sequence[object]) -> List[str]:
     source_text = " ".join(
         f"{name}={count}" for name, count in sorted(sources.items())
     )
-    fresh = [
-        result for result in results if not getattr(result, "from_cache", False)
-    ]
+    fresh = [result for result in results if _simulated(result)]
     lines.append(
         f"phase means over {summary['num_fresh']} fresh config(s): "
         f"setup={summary['mean_setup_s']:.4f}s solve={summary['mean_solve_s']:.4f}s "
@@ -121,5 +133,6 @@ def format_profile(results: Sequence[object]) -> List[str]:
         f"executed={executed} replayed={replayed} "
         f"events={sum(getattr(result, 'events', 0) for result in fresh)}"
     )
+    lines.append(f"shared results: {summary['num_shared']}")
     lines.append(f"template sources: {source_text}")
     return lines

@@ -7,6 +7,7 @@ name → object resolution used by the worker processes.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, Optional
 
 from repro.cluster.spec import ClusterSpec
@@ -21,9 +22,11 @@ from repro.fabric import (
 from repro.moe.models import MODEL_ZOO, QWEN_MOE_EP32, MoEModelConfig, get_model
 
 #: Fabric name -> builder, matching the five fabrics of the paper's Figure 12.
+#: Each builder is a :class:`Fabric` subclass or a ``functools.partial`` of
+#: one, so :func:`fabric_reconfigurable` can read the class without building.
 FABRIC_BUILDERS: Dict[str, Callable[[ClusterSpec], Fabric]] = {
     "Fat-tree": FatTreeFabric,
-    "OverSub. Fat-tree": lambda cluster: FatTreeFabric(cluster, oversubscription=3.0),
+    "OverSub. Fat-tree": functools.partial(FatTreeFabric, oversubscription=3.0),
     "Rail-optimized": RailOptimizedFabric,
     "TopoOpt": TopoOptFabric,
     "MixNet": MixNetFabric,
@@ -47,6 +50,12 @@ def build_fabric(name: str, cluster: ClusterSpec) -> Fabric:
             f"unknown fabric {name!r}; known: {sorted(FABRIC_BUILDERS)}"
         ) from exc
     return builder(cluster)
+
+
+def fabric_reconfigurable(name: str) -> bool:
+    """``Fabric.reconfigurable`` of a registered fabric, read off its class."""
+    builder = FABRIC_BUILDERS[name]
+    return getattr(builder, "func", builder).reconfigurable
 
 
 def resolve_model(name: str) -> MoEModelConfig:

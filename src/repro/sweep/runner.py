@@ -18,7 +18,7 @@ import json
 import os
 import queue as queue_mod
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.spec import ClusterSpec
@@ -93,6 +93,11 @@ class SweepResult:
     #: "disk"), or "none" for paths that run from scratch.
     template_source: str = "none"
     from_cache: bool = False
+    #: Hash of the config whose simulation this result copies (same
+    #: :meth:`~repro.sweep.spec.SweepConfig.simulation_key`, DESIGN.md §12);
+    #: ``None`` when this config was simulated itself.  A copy's phase times
+    #: and ``wall_time_s`` are 0.
+    shared_from: Optional[str] = None
     #: Executor observability (DESIGN.md §10): events consumed by the
     #: event loop; water-filling rounds executed vs. inherited from the
     #: kernel's freeze record.  Folded and unfolded runs report identical
@@ -380,9 +385,8 @@ def _fold_shard_task(
         errors = shard._run_misses(
             list(range(len(configs))), list(hashes), results
         )
-        index_of_hash = dict(zip(hashes, indices))
-        for error in errors:
-            emit(("err", index_of_hash[error.config_hash], error.error))
+        for local, error in sorted(errors.items()):
+            emit(("err", indices[local], error.error))
     finally:
         if board is not None:
             board.close()
@@ -436,6 +440,11 @@ class SweepRunner:
     resident between grids.  Use the runner as a context manager, or call
     :meth:`close`, to release them; an abandoned runner's workers are
     daemonic and die with the process.
+
+    :meth:`run` simulates each :meth:`SweepConfig.simulation_key` once
+    (DESIGN.md §12): configs of a static fabric that differ only in the
+    controller fields get copies of one simulation, each under its own
+    hash.
 
     Args:
         sweep: A :class:`SweepSpec` or an explicit sequence of
@@ -573,36 +582,84 @@ class SweepRunner:
         # The content hash is the cache key three times over (path, stale
         # check, store); compute it once per config per run.
         hashes = [config.config_hash() for config in self.configs]
+        keys = [config.simulation_key() for config in self.configs]
         results: List[Optional[SweepResult]] = [None] * len(self.configs)
-        misses: List[int] = []
+        # One simulation per key (DESIGN.md §12): a miss is served from a
+        # cached config of its key, else from the first miss of its key (the
+        # representative), which alone is simulated.
+        source_of: Dict[tuple, int] = {}
+        representatives: List[int] = []
+        siblings: List[Tuple[int, int]] = []
         for index, config_hash in enumerate(hashes):
             cached = self._cache_load(config_hash)
             if cached is not None:
                 results[index] = cached
+                source_of.setdefault(keys[index], index)
+        for index, result in enumerate(results):
+            if result is not None:
+                continue
+            source = source_of.setdefault(keys[index], index)
+            if source == index:
+                representatives.append(index)
+            elif results[source] is not None:
+                self._share(index, source, hashes, results)
             else:
-                misses.append(index)
+                siblings.append((index, source))
 
-        if misses:
-            errors = self._run_misses(misses, hashes, results)
-            if errors:
-                raise SweepRunError(errors)
+        errors: Dict[int, SweepError] = {}
+        if representatives:
+            errors = self._run_misses(representatives, hashes, results)
+        for index, source in siblings:
+            if source in errors:
+                errors[index] = SweepError(
+                    config=self.configs[index].to_dict(),
+                    config_hash=hashes[index],
+                    error=errors[source].error,
+                )
+            else:
+                self._share(index, source, hashes, results)
+        if errors:
+            raise SweepRunError([errors[index] for index in sorted(errors)])
 
         assert all(result is not None for result in results)
         return [result for result in results if result is not None]
+
+    def _share(
+        self,
+        index: int,
+        source: int,
+        hashes: List[str],
+        results: List[Optional[SweepResult]],
+    ) -> None:
+        """Give config ``index`` a copy of its key twin's result, cached
+        under its own hash."""
+        origin = results[source]
+        assert origin is not None
+        result = replace(
+            origin,
+            config=self.configs[index].to_dict(),
+            config_hash=hashes[index],
+            wall_time_s=0.0,
+            setup_s=0.0,
+            solve_s=0.0,
+            advance_s=0.0,
+            store_s=0.0,
+            shared_from=origin.shared_from or origin.config_hash,
+        )
+        self._cache_store(result)
+        results[index] = result
 
     def _run_misses(
         self,
         misses: List[int],
         hashes: List[str],
         results: List[Optional[SweepResult]],
-    ) -> List[SweepError]:
-        """Simulate the cache misses in place; return per-config failures."""
+    ) -> Dict[int, SweepError]:
+        """Simulate the cache misses in place; return failures by index."""
+        errors: Dict[int, SweepError] = {}
         if self.workers <= 1:
-            for index in misses:
-                result = run_config(self.configs[index], config_hash=hashes[index])
-                self._cache_store(result)
-                results[index] = result
-            return []
+            self._salvage_inline(misses, hashes, results, errors)
+            return errors
         shards = self._shard_misses(misses, hashes)
         return self._run_parallel(misses, hashes, results, shards)
 
@@ -641,7 +698,8 @@ class SweepRunner:
         results: List[Optional[SweepResult]],
         errors: Dict[int, SweepError],
     ) -> None:
-        """Re-run configs a dead worker still owed, in this process."""
+        """Run configs in this process: inline runs, and the configs a dead
+        worker still owed."""
         for index in indices:
             config = self.configs[index]
             try:
@@ -662,7 +720,7 @@ class SweepRunner:
         hashes: List[str],
         results: List[Optional[SweepResult]],
         shards: List[List[int]],
-    ) -> List[SweepError]:
+    ) -> Dict[int, SweepError]:
         """Drive the persistent pool over pre-assigned shards.
 
         Every completed config streams back as an ack (metrics via shared
@@ -765,7 +823,7 @@ class SweepRunner:
                     pool.respawn(worker_id)
         finally:
             board.close()
-        return [errors[index] for index in sorted(errors)]
+        return errors
 
 
 class FoldedSweepRunner(SweepRunner):
@@ -831,13 +889,13 @@ class FoldedSweepRunner(SweepRunner):
         misses: List[int],
         hashes: List[str],
         results: List[Optional[SweepResult]],
-    ) -> List[SweepError]:
+    ) -> Dict[int, SweepError]:
         if self.workers > 1:
             shards = self._shard_groups(misses, hashes)
             return self._run_parallel(misses, hashes, results, shards)
         errors: Dict[int, SweepError] = {}
         self._fold_serial(misses, hashes, results, errors)
-        return [errors[index] for index in sorted(errors)]
+        return errors
 
     # ---------------------------------------------------------- serial fold
     def _fold_serial(

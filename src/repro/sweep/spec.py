@@ -11,13 +11,19 @@ from __future__ import annotations
 import hashlib
 import json
 import itertools
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.reconfigure import resolve_engine
 from repro.core.runtime import FIRST_A2A_POLICIES
 from repro.moe.parallelism import minimal_world_size
-from repro.sweep.registry import FABRIC_BUILDERS, parse_failure, resolve_model
+from repro.sweep.registry import (
+    FABRIC_BUILDERS,
+    fabric_reconfigurable,
+    parse_failure,
+    resolve_model,
+)
 
 #: Bumped whenever the meaning of a config field (and therefore the validity
 #: of cached results) changes.  v2: added the ``reconfig_engine`` axis.
@@ -25,6 +31,10 @@ CONFIG_SCHEMA_VERSION = 2
 
 #: GPUs per server of the §7.1 simulation cluster (``simulation_cluster``).
 _GPUS_PER_SERVER = 8
+
+#: Config fields read only by a reconfigurable fabric's regional controller
+#: (§5, §7.1); :meth:`SweepConfig.simulation_key` drops them elsewhere.
+CONTROLLER_FIELDS = ("first_a2a_policy", "reconfiguration_delay_s", "reconfig_engine")
 
 
 @dataclass(frozen=True)
@@ -61,8 +71,19 @@ class SweepConfig:
         parse_failure(self.failure)  # raises ValueError on unknown scenarios
         if self.num_servers <= 0:
             raise ValueError("num_servers must be positive")
-        if self.nic_bandwidth_gbps <= 0:
-            raise ValueError("nic_bandwidth_gbps must be positive")
+        if not (math.isfinite(self.nic_bandwidth_gbps) and self.nic_bandwidth_gbps > 0):
+            raise ValueError(
+                f"nic_bandwidth_gbps must be finite and positive, "
+                f"got {self.nic_bandwidth_gbps!r}"
+            )
+        if not (
+            math.isfinite(self.reconfiguration_delay_s)
+            and self.reconfiguration_delay_s >= 0
+        ):
+            raise ValueError(
+                f"reconfiguration_delay_s must be finite and non-negative, "
+                f"got {self.reconfiguration_delay_s!r}"
+            )
         resolve_engine(self.reconfig_engine)  # raises ValueError on unknown engines
 
     def to_dict(self) -> Dict[str, object]:
@@ -80,6 +101,23 @@ class SweepConfig:
             separators=(",", ":"),
         )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:24]
+
+    def simulation_key(self) -> Tuple[object, ...]:
+        """Identity of the simulation this config runs (DESIGN.md §12).
+
+        Every field, except that :data:`CONTROLLER_FIELDS` take their
+        defaults when the fabric is not ``reconfigurable``: only a
+        reconfigurable fabric builds the controller that reads them, so
+        configs sharing a key produce identical results and the runner
+        simulates each key once.
+        """
+        keep = fabric_reconfigurable(self.fabric)
+        return tuple(
+            getattr(self, spec.name)
+            if keep or spec.name not in CONTROLLER_FIELDS
+            else spec.default
+            for spec in fields(self)
+        )
 
     def structural_key(self) -> Tuple[object, ...]:
         """Hashable signature of what shapes the task DAG and flow graph.

@@ -134,8 +134,11 @@ class TestRunner:
         assert all(r.from_cache for r in second)
         for fresh, cached in zip(first, second):
             assert cached.iteration_time_s == fresh.iteration_time_s
-        # Corrupt one entry: it must be recomputed, not crash the run.
-        victim = first[0].config_hash
+        # Corrupt one entry: it must be recomputed, not crash the run.  The
+        # victim is a MixNet config: a static-fabric entry would be served
+        # from its cached policy twin instead (DESIGN.md §12).
+        victim = first[2].config_hash
+        assert first[2].fabric == "MixNet"
         (tmp_path / "cache" / f"{victim}.json").write_text("{not json")
         third = SweepRunner(BASE_SPEC, workers=0, cache_dir=cache).run()
         assert sum(not r.from_cache for r in third) == 1
